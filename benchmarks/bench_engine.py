@@ -2,8 +2,8 @@
 
 A scheduler-light measurement of the event loop itself: a synthetic
 8-stream workload of fixed-cost layers is driven through the engine under
-two synthetic policies (a static-rate equal split and a dynamic-rate
-demand split) plus the five paper policies, then two QoS rows
+two synthetic policies (the ``("equal",)`` and ``("demand_prop", 0.0)``
+rate specs) plus the five paper policies, then two QoS rows
 (``moca-qos``, ``camdn-qos``) that rerun MoCA and CaMDN(Full) with
 finite deadlines so the slack-weighted/throttled fused kernels are on
 the measured path.  Every configuration is run twice and the summary
@@ -101,7 +101,6 @@ class StaticSynthetic(SchedulerPolicy):
     """
 
     name = "synthetic-static"
-    dynamic_rates = False
 
     def __init__(self) -> None:
         super().__init__()
@@ -130,15 +129,9 @@ class DynamicSynthetic(StaticSynthetic):
     """Same work, demand-proportional shares recomputed every event."""
 
     name = "synthetic-dynamic"
-    dynamic_rates = True
 
-    def bandwidth_shares(self, running, now):
-        demands = {
-            iid: max(inst.rem_dram_bytes, 1.0)
-            for iid, inst in running.items()
-        }
-        total = sum(demands.values())
-        return {iid: d / total for iid, d in demands.items()}
+    def rate_kernel(self):
+        return ("demand_prop", 0.0)
 
 
 def _build_workload(graph: Optional[ModelGraph],

@@ -108,8 +108,8 @@ def run_scenario(
             ``"camdn-hw"``, ``"camdn-full"``) or a ready-built policy
             instance.
         config: run-control configuration (QoS integration, fault
-            injection, trace capture, watchdog budgets, checkpointing,
-            kernel backend); see :class:`~repro.runconfig.RunConfig`.
+            injection, trace capture, watchdog budgets, checkpointing);
+            see :class:`~repro.runconfig.RunConfig`.
             Defaults to ``RunConfig()``.
         **policy_kwargs: forwarded to the scheduler constructor when
             ``policy`` is a name.
@@ -163,7 +163,6 @@ def run_scenario(
     workload = ScenarioWorkload(spec, recorder=recorder)
     engine = MultiTenantEngine(soc, scheduler, workload,
                                trace=config.trace,
-                               kernel_backend=config.kernel_backend,
                                event_recorder=recorder,
                                faults=faults)
     result = engine.run(

@@ -1,195 +1,145 @@
-"""Memory bandwidth allocation policies.
+"""DRAM bandwidth share rules.
 
 The baselines the paper compares against are bandwidth-centric schedulers:
 
 * MoCA partitions bandwidth among co-located DNNs according to their memory
-  access requirements (demand-proportional with QoS-slack boosts);
+  access requirements (demand-proportional, throttling tenants that are
+  comfortably ahead of their deadlines);
 * AuRORA co-allocates bandwidth and NPU cores toward latency targets
   (slack-weighted).
 
-These policies are pure functions from per-task demand/slack snapshots to
-fractional shares summing to at most 1, so both the fluid simulator and the
-unit tests can exercise them directly.
+A policy states its rule as one spec from a closed family
+(:meth:`~repro.schedulers.base.SchedulerPolicy.rate_kernel`):
+
+* ``("equal",)`` — an even split (the unmanaged baseline);
+* ``("demand_prop", floor)`` — shares proportional to demand;
+* ``("slack_weighted", urgency, floor)`` — AuRORA's exponential slack
+  weighting of demand;
+* ``("slack_throttled", floor)`` — MoCA's deadline rule: demands halved
+  when slack exceeds 0.5, then demand-proportional.
+
+Every spec derives ``demand = max(rem_dram, 1) / max(rem_compute / freq,
+1e-9)`` from the running instance's remaining layer work and normalizes
+``base + remaining * weight / total`` with ``floor`` guaranteed to every
+instance whenever ``floor * n < 1``.  :func:`shares` is the one Python
+definition of each rule.  The native fused step in ``sim/_batchstep.c``
+transcribes the same IEEE-754 expressions in the same order (the demand
+total accumulates left to right in insertion order), so the two are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, List
 
 from ..errors import SimulationError
 
+if TYPE_CHECKING:
+    from ..sim.kernel import RunningKernel
 
-@dataclass(frozen=True)
-class BandwidthAllocation:
-    """Result of one allocation round: task id -> share in (0, 1]."""
+#: Spec kind -> fused-step mode (the ``MODE_*`` constants of
+#: ``_batchstep.c``; 0 is the native step over installed rates).
+MODES = {
+    "equal": 0,
+    "demand_prop": 1,
+    "slack_weighted": 2,
+    "slack_throttled": 3,
+}
 
-    shares: Mapping[str, float]
+#: Modes whose rule reads the kernel's slack arrays
+#: (:meth:`~repro.sim.kernel.RunningKernel.configure_slack`).
+SLACK_MODES = frozenset((2, 3))
 
-    def __post_init__(self) -> None:
-        total = sum(self.shares.values())
-        if total > 1.0 + 1e-9:
-            raise SimulationError(f"shares sum to {total} > 1")
-        for task, share in self.shares.items():
-            if share <= 0:
-                raise SimulationError(f"{task}: non-positive share {share}")
-
-    def share_of(self, task_id: str) -> float:
-        return self.shares.get(task_id, 0.0)
-
-
-class EqualSharePolicy:
-    """Even split among active tasks (the unmanaged baseline)."""
-
-    def allocate(self, demands: Mapping[str, float],
-                 slacks: Mapping[str, float] | None = None
-                 ) -> BandwidthAllocation:
-        """``demands`` maps task id -> bytes/s it could consume."""
-        if not demands:
-            return BandwidthAllocation(shares={})
-        share = 1.0 / len(demands)
-        return BandwidthAllocation(
-            shares={task: share for task in demands}
-        )
-
-    def allocate_list(self, demands: Sequence[float],
-                      slacks: Optional[Sequence[float]] = None
-                      ) -> List[float]:
-        """Positional twin of :meth:`allocate` (same floats, no dicts)."""
-        if not demands:
-            return []
-        share = 1.0 / len(demands)
-        return [share] * len(demands)
+_ARITY = {"equal": 1, "demand_prop": 2, "slack_weighted": 3,
+          "slack_throttled": 2}
 
 
-class DemandProportionalPolicy:
-    """MoCA-style: shares proportional to memory-access requirements.
+def mode_of(spec: tuple) -> int:
+    """Validate a rate spec and return its fused-step mode.
 
-    Tasks that move more bytes per unit time get proportionally more
-    bandwidth; a floor keeps light tasks from starving.
+    Raises:
+        SimulationError: unknown kind, wrong arity, a floor outside
+            ``[0, 1)`` or a non-positive urgency.
     """
-
-    def __init__(self, floor: float = 0.02) -> None:
-        if not 0 <= floor < 1:
-            raise SimulationError("floor must be in [0, 1)")
-        self.floor = floor
-
-    def allocate(self, demands: Mapping[str, float],
-                 slacks: Mapping[str, float] | None = None
-                 ) -> BandwidthAllocation:
-        if not demands:
-            return BandwidthAllocation(shares={})
-        n = len(demands)
-        total_demand = sum(max(d, 0.0) for d in demands.values())
-        shares: Dict[str, float] = {}
-        floor_total = self.floor * n if self.floor * n < 1 else 0.0
-        remaining = 1.0 - floor_total
-        for task, demand in demands.items():
-            proportional = (
-                max(demand, 0.0) / total_demand if total_demand > 0
-                else 1.0 / n
-            )
-            base = self.floor if floor_total else 0.0
-            shares[task] = base + remaining * proportional
-        return BandwidthAllocation(shares=shares)
-
-    def allocate_list(self, demands: Sequence[float],
-                      slacks: Optional[Sequence[float]] = None
-                      ) -> List[float]:
-        """Positional twin of :meth:`allocate`.
-
-        Bit-identical to the dict path when ``demands`` is given in the
-        dict's iteration order: the demand total accumulates in the same
-        order and every per-task expression keeps its shape.
-        """
-        if not demands:
-            return []
-        n = len(demands)
-        floor_total = self.floor * n if self.floor * n < 1 else 0.0
-        remaining = 1.0 - floor_total
-        base = self.floor if floor_total else 0.0
-        if min(demands) >= 0:
-            # All-non-negative fast path: max(d, 0.0) is the identity, so
-            # the clamped and unclamped totals/ratios are the same floats.
-            total_demand = sum(demands)
-            if total_demand > 0:
-                return [
-                    base + remaining * (d / total_demand)
-                    for d in demands
-                ]
-        total_demand = sum([max(d, 0.0) for d in demands])
-        return [
-            base + remaining * (
-                max(d, 0.0) / total_demand if total_demand > 0
-                else 1.0 / n
-            )
-            for d in demands
-        ]
+    kind = spec[0] if spec else None
+    if kind not in MODES or len(spec) != _ARITY[kind]:
+        raise SimulationError(f"unknown rate spec {spec!r}")
+    if kind != "equal" and not 0 <= spec[-1] < 1:
+        raise SimulationError(f"{spec!r}: floor must be in [0, 1)")
+    if kind == "slack_weighted" and not spec[1] > 0:
+        raise SimulationError(f"{spec!r}: urgency must be positive")
+    return MODES[kind]
 
 
-class SlackWeightedPolicy:
-    """AuRORA-style: tasks behind their latency target get boosted shares.
+def shares(spec: tuple, kernel: "RunningKernel", freq: float,
+           now: float) -> List[float]:
+    """Fractional DRAM bandwidth per running instance (sums to <= 1).
 
-    Slack is ``(target - predicted_latency) / target``; negative slack means
-    the task is missing its deadline.  Weights grow exponentially as slack
-    shrinks, so badly-behind tasks dominate the allocation — the behaviour
-    that lets AuRORA reach high SLA rates at some fairness cost (a result
-    the paper reproduces in Figure 9).
+    Reads the remaining work (``kernel.rem_c`` / ``kernel.rem_d``) and,
+    for the slack specs, the slack arrays the kernel maintains under
+    :meth:`~repro.sim.kernel.RunningKernel.configure_slack`; the result
+    is aligned with ``kernel.insts``.
     """
+    rem_c, rem_d = kernel.rem_c, kernel.rem_d
+    n = len(rem_c)
+    if not n:
+        return []
+    kind = spec[0]
+    if kind == "equal":
+        return [1.0 / n] * n
+    demands = [
+        (d if d > 1.0 else 1.0)
+        / (t if (t := c / freq) > 1e-9 else 1e-9)
+        for c, d in zip(rem_c, rem_d)
+    ]
+    floor = spec[-1]
+    floor_total = floor * n if floor * n < 1 else 0.0
+    base = floor if floor_total else 0.0
+    remaining = 1.0 - floor_total
+    if kind == "demand_prop":
+        total = _total(demands)
+        return [base + remaining * (d / total) for d in demands]
+    slacks = _slacks(kernel, now)
+    if kind == "slack_throttled":
+        # MoCA: halve the demand of tenants more than 50 % ahead of
+        # their deadline.
+        weights = [d * 0.5 if s > 0.5 else d
+                   for d, s in zip(demands, slacks)]
+        total = _total(weights)
+        return [base + remaining * (w / total) for w in weights]
+    # AuRORA: behind-deadline tenants get exponentially boosted weight;
+    # the slack clamp keeps a hopeless task from overflowing exp().
+    urgency = spec[1]
+    exp = math.exp
+    weights = []
+    for d, s in zip(demands, slacks):
+        s = s if s > -20.0 else -20.0
+        s = s if s < 20.0 else 20.0
+        weights.append((d if d > 1.0 else 1.0) * exp(-urgency * s))
+    total = _total(weights)
+    return [base + remaining * w / total for w in weights]
 
-    def __init__(self, urgency: float = 3.0, floor: float = 0.02) -> None:
-        if urgency <= 0:
-            raise SimulationError("urgency must be positive")
-        if not 0 <= floor < 1:
-            raise SimulationError("floor must be in [0, 1)")
-        self.urgency = urgency
-        self.floor = floor
 
-    def allocate(self, demands: Mapping[str, float],
-                 slacks: Mapping[str, float] | None = None
-                 ) -> BandwidthAllocation:
-        if not demands:
-            return BandwidthAllocation(shares={})
-        slacks = slacks or {}
-        weights: Dict[str, float] = {}
-        for task, demand in demands.items():
-            # Clamp: a hopelessly late task should dominate but not
-            # overflow the exponential.
-            slack = min(max(slacks.get(task, 0.0), -20.0), 20.0)
-            # slack <= 0 -> weight >= 1; generous slack -> weight ~ 0+.
-            weight = math.exp(-self.urgency * slack)
-            weights[task] = max(demand, 1.0) * weight
-        total = sum(weights.values())
-        n = len(weights)
-        floor_total = self.floor * n if self.floor * n < 1 else 0.0
-        remaining = 1.0 - floor_total
-        shares = {
-            task: (self.floor if floor_total else 0.0)
-            + remaining * weight / total
-            for task, weight in weights.items()
-        }
-        return BandwidthAllocation(shares=shares)
+def _total(values: List[float]) -> float:
+    """Left-to-right float sum, as the C twin accumulates it (``sum()``
+    of floats is compensated from Python 3.12 on, which rounds
+    differently)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
-    def allocate_list(self, demands: Sequence[float],
-                      slacks: Optional[Sequence[float]] = None
-                      ) -> List[float]:
-        """Positional twin of :meth:`allocate` (see
-        :meth:`DemandProportionalPolicy.allocate_list` for the
-        bit-identity contract)."""
-        if not demands:
-            return []
-        if slacks is None:
-            slacks = [0.0] * len(demands)
-        weights = [
-            max(d, 1.0) * math.exp(
-                -self.urgency * min(max(s, -20.0), 20.0)
-            )
-            for d, s in zip(demands, slacks)
-        ]
-        total = sum(weights)
-        n = len(weights)
-        floor_total = self.floor * n if self.floor * n < 1 else 0.0
-        remaining = 1.0 - floor_total
-        base = self.floor if floor_total else 0.0
-        return [base + remaining * w / total for w in weights]
+
+def _slacks(kernel: "RunningKernel", now: float) -> List[float]:
+    """Normalized QoS slack per running instance (positive: ahead of the
+    deadline; 1.0 for instances without one)."""
+    out = []
+    for a, q, est, progress in zip(kernel.sl_arrival, kernel.sl_qos,
+                                   kernel.sl_est, kernel.sl_progress):
+        if math.isinf(q):
+            out.append(1.0)
+        else:
+            expected_finish = a + (est * (1.0 - progress)) + (now - a)
+            out.append((a + q - expected_finish) / q)
+    return out

@@ -2,9 +2,8 @@
 
 :func:`repro.experiments.common.run_scenario` grew one keyword at a
 time — QoS integration, trace capture, fault injection, watchdog
-budgets, rolling checkpoints, snapshot hooks, kernel-backend pinning —
-until every new axis widened a 12-keyword signature at every call
-site.  :class:`RunConfig` consolidates all of them into one frozen,
+budgets, rolling checkpoints, snapshot hooks — until every new axis
+widened a 12-keyword signature at every call site.  :class:`RunConfig` consolidates all of them into one frozen,
 reusable value object::
 
     from repro import RunConfig, run
@@ -33,7 +32,7 @@ from .errors import WorkloadError
 #: The ``run_scenario`` keyword names subsumed by :class:`RunConfig`
 #: (the legacy shim recognises exactly these).
 RUN_CONFIG_KEYS = frozenset((
-    "qos_mode", "trace", "kernel_backend", "capture_trace", "faults",
+    "qos_mode", "trace", "capture_trace", "faults",
     "max_events", "max_wall_s", "checkpoint_every_s", "checkpoint_dir",
     "snapshot_at_events",
 ))
@@ -65,9 +64,6 @@ class RunConfig:
             (execution-timeline capture; excluded from equality so
             configs differing only in an attached recorder compare
             equal).
-        kernel_backend: force the engine kernel backend (``"numpy"`` /
-            ``"list"``); also disables the native fused stepper, which
-            is how tests pin the step arithmetic to one implementation.
         max_events: engine watchdog event budget (see
             :meth:`~repro.sim.engine.MultiTenantEngine.run`).
         max_wall_s: engine watchdog wall-clock budget in seconds; the
@@ -88,7 +84,6 @@ class RunConfig:
     capture_trace: bool = False
     trace: Optional[Any] = field(default=None, compare=False,
                                  repr=False)
-    kernel_backend: Optional[str] = None
     max_events: Optional[int] = None
     max_wall_s: Optional[float] = None
     checkpoint_every_s: Optional[float] = None

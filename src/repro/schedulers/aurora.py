@@ -17,10 +17,6 @@ attacks.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence
-
-from ..memory.bwalloc import SlackWeightedPolicy
 from ..sim.task import TaskInstance
 from .moca import MoCAScheduler
 
@@ -40,7 +36,8 @@ class AuRORAScheduler(MoCAScheduler):
     def __init__(self, urgency: float = 3.0, floor: float = 0.02,
                  allow_multi_core: bool = True) -> None:
         super().__init__(floor=floor)
-        self._bw_policy = SlackWeightedPolicy(urgency=urgency, floor=floor)
+        #: Slack-weighting exponent (see repro.memory.bwalloc).
+        self._urgency = urgency
         self.allow_multi_core = allow_multi_core
 
     # ------------------------------------------------------------------
@@ -48,14 +45,14 @@ class AuRORAScheduler(MoCAScheduler):
     def snapshot_state(self) -> dict:
         state = super().snapshot_state()
         state.update(
-            slack_bw_policy=self._bw_policy,
+            urgency=self._urgency,
             allow_multi_core=self.allow_multi_core,
         )
         return state
 
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
-        self._bw_policy = state["slack_bw_policy"]
+        self._urgency = state["urgency"]
         self.allow_multi_core = state["allow_multi_core"]
 
     # ------------------------------------------------------------------
@@ -75,45 +72,4 @@ class AuRORAScheduler(MoCAScheduler):
         applies even when every slack is the no-deadline 1.0 (which is
         not float-identical to the plain demand-proportional split MoCA
         degenerates to, so AuRORA never returns ``demand_prop``)."""
-        return (
-            "slack_weighted",
-            self._bw_policy.urgency,
-            self._bw_policy.floor,
-        )
-
-    def bandwidth_shares(self, running: Dict[str, TaskInstance],
-                         now: float) -> Dict[str, float]:
-        if not running:
-            return {}
-        demands = {
-            iid: self._demand(inst) for iid, inst in running.items()
-        }
-        slacks = {
-            iid: self._slack(inst, now) for iid, inst in running.items()
-        }
-        allocation = self._bw_policy.allocate(demands, slacks)
-        return dict(allocation.shares)
-
-    def bandwidth_shares_list(
-        self,
-        insts: Sequence[TaskInstance],
-        rem_compute: Sequence[float],
-        rem_dram: Sequence[float],
-        now: float,
-    ) -> Optional[List[float]]:
-        """Positional fast path mirroring the slack-weighted dict path."""
-        if not insts:
-            return []
-        freq = self.soc.npu.frequency_hz
-        slack_of = self.slack_of
-        est_of = self.est_isolated_latency_s
-        demands = []
-        slacks = []
-        for inst, rem_c, rem_d in zip(insts, rem_compute, rem_dram):
-            compute_s = max(rem_c / freq, 1e-9)
-            demands.append(max(rem_d, 1.0) / compute_s)
-            if math.isinf(inst.qos_target_s):
-                slacks.append(1.0)
-            else:
-                slacks.append(slack_of(inst, now, est_of(inst)))
-        return self._bw_policy.allocate_list(demands, slacks)
+        return ("slack_weighted", self._urgency, self._floor)

@@ -5,8 +5,8 @@ A policy answers four questions for the fluid engine:
 1. how many cores an arriving inference gets (``cores_for``);
 2. what executing one layer costs (``begin_layer`` — compute cycles and
    DRAM bytes, possibly after waiting for cache pages);
-3. how the DRAM bandwidth splits across running tasks
-   (``bandwidth_shares``);
+3. how the DRAM bandwidth splits across running tasks (``rate_kernel``,
+   a spec from the closed family in :mod:`repro.memory.bwalloc`);
 4. what bookkeeping happens at layer/inference boundaries
    (``on_layer_end`` / ``on_task_end``).
 
@@ -19,8 +19,7 @@ have been freed and ``timeout_layer`` when the wait budget expires
 from __future__ import annotations
 
 import abc
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..config import SoCConfig
 from ..core.prepared import PreparedModel, prepare_model
@@ -38,22 +37,6 @@ class SchedulerPolicy(abc.ABC):
 
     #: Paper-facing policy name (overridden by subclasses).
     name = "abstract"
-
-    #: Whether per-task rates can change *between* engine events.  ``True``
-    #: (the safe default) makes the engine recompute bandwidth shares after
-    #: every event.  Policies whose shares and DRAM efficiency depend only
-    #: on the running-set membership (e.g. the equal-split default) may set
-    #: this to ``False``: the engine then keeps cached rates valid across
-    #: layer-work changes and only invalidates them on explicit
-    #: membership-change notifications, which is what enables the
-    #: steady-interval fast-forward.
-    dynamic_rates = True
-
-    #: The policy's bandwidth shares are strictly positive by
-    #: construction (e.g. a proportional split with a positive floor).
-    #: The engine then skips its per-event zero-bandwidth audit — purely
-    #: a dropped assertion, never a behavior change.
-    positive_shares = False
 
     #: Monotone counter bumped (via :meth:`bump_rate_epoch`) whenever
     #: the *rule* that produces this policy's shares changes shape —
@@ -194,9 +177,9 @@ class SchedulerPolicy(abc.ABC):
     # Bandwidth
     # ------------------------------------------------------------------
 
-    def dram_efficiency(self, instance: TaskInstance,
-                        num_running: int) -> float:
-        """Fraction of the allocated DRAM bandwidth actually sustained.
+    def dram_efficiency(self, num_running: int) -> float:
+        """Fraction of the allocated DRAM bandwidth actually sustained
+        with ``num_running`` instances on the running set.
 
         Real DRAM delivers its peak only to row-buffer-friendly streams.
         A transparent cache turns tenant traffic into scattered 64 B demand
@@ -204,96 +187,39 @@ class SchedulerPolicy(abc.ABC):
         the latency amplification the paper's DRAMsim3 backend exhibits and
         the reason latency reductions in Figure 8 (34-42 %) exceed traffic
         reductions (16-38 %).  Policies override this with their achievable
-        efficiency; the default is ideal (1.0).
+        efficiency; the default is ideal (1.0).  The engine memoizes it per
+        width, so it must be a pure function of ``num_running``.
         """
         return 1.0
-
-    def uniform_dram_efficiency(self, num_running: int
-                                ) -> Optional[float]:
-        """Shared efficiency when it does not vary across instances.
-
-        Every shipped policy's :meth:`dram_efficiency` depends only on the
-        running-set width, so the engine can apply one value to the whole
-        set instead of N method calls per event.  Returning ``None`` (the
-        default) keeps the per-instance calls.  A policy overriding
-        :meth:`dram_efficiency` with per-instance behaviour must leave
-        this returning ``None``.
-        """
-        return None
-
-    def bandwidth_shares(self, running: Dict[str, TaskInstance],
-                         now: float) -> Dict[str, float]:
-        """Fractional DRAM bandwidth per running instance (sums <= 1).
-
-        Default: equal split.
-        """
-        if not running:
-            return {}
-        share = 1.0 / len(running)
-        return {instance_id: share for instance_id in running}
 
     def bump_rate_epoch(self) -> None:
         """Advance :attr:`rate_epoch` (the share rule changed shape)."""
         self.rate_epoch += 1
 
-    def rate_kernel(self) -> Optional[tuple]:
-        """Declarative description of the share rule, when expressible.
+    def rate_kernel(self) -> tuple:
+        """The policy's bandwidth share rule, as one spec of the closed
+        family :mod:`repro.memory.bwalloc` defines (and the native fused
+        step transcribes):
 
-        A policy whose :meth:`bandwidth_shares_list` currently reduces
-        to a closed form the engine can fuse with the kernel step may
-        return a spec tuple; ``None`` (the default) keeps the split
-        recompute/step path.  Every spec implies ``demand =
-        max(rem_dram, 1) / max(rem_compute / freq, 1e-9)`` and a
-        uniform DRAM efficiency (:meth:`uniform_dram_efficiency` must
-        not return ``None``).  Supported specs:
-
+        * ``("equal",)`` — an even split (the default);
         * ``("demand_prop", floor)`` — demand-proportional shares with
-          a starvation floor, per
-          :class:`~repro.memory.bwalloc.DemandProportionalPolicy`.
+          a starvation floor;
         * ``("slack_weighted", urgency, floor)`` — AuRORA's rule:
-          ``weight = max(demand, 1) * exp(-urgency *
-          clamp(slack, ±20))`` with ``slack`` from :meth:`slack_of`
-          (1.0 for no-deadline instances), normalized per
-          :class:`~repro.memory.bwalloc.SlackWeightedPolicy`.
+          demand weighted by ``exp(-urgency * clamp(slack, ±20))``;
         * ``("slack_throttled", floor)`` — MoCA's finite-deadline rule:
           demands halved when ``slack > 0.5``, then demand-proportional.
 
-        The slack specs make the engine maintain per-instance slack
-        inputs (arrival, deadline, est-isolated-latency, layer
-        progress) in kernel SoA arrays; :meth:`slack_of` must therefore
-        stay a pure function of those inputs and ``now``.
+        Every spec but ``("equal",)`` tracks the remaining layer work,
+        so the engine recomputes its shares at every event; equal-split
+        rates change only with the running-set membership.  The slack
+        specs make the engine maintain per-instance slack inputs
+        (arrival, deadline, :meth:`est_isolated_latency_s`, layer
+        progress) in kernel SoA arrays.
 
         The returned spec must hold until the policy bumps
-        :attr:`rate_epoch`; the fused implementations are bit-identical
-        to the split path, so the spec is purely a speedup contract.
+        :attr:`rate_epoch`.
         """
-        return None
-
-    def bandwidth_shares_list(
-        self,
-        insts: Sequence[TaskInstance],
-        rem_compute: Sequence[float],
-        rem_dram: Sequence[float],
-        now: float,
-    ) -> Optional[List[float]]:
-        """Kernel fast path for :meth:`bandwidth_shares`.
-
-        The engine's SoA kernel calls this with the running instances and
-        their remaining work in insertion order; a policy that can compute
-        its shares positionally returns a list aligned with ``insts`` and
-        skips the per-event dict round-trip.  Returning ``None`` (the
-        default) falls back to the dict path.
-
-        Contract: the returned floats must be bit-identical to what
-        :meth:`bandwidth_shares` would produce for the same running set —
-        element-wise arithmetic may be reshaped, but every order-sensitive
-        reduction (demand totals, weight normalizations) must accumulate
-        in insertion order.  A subclass that overrides
-        :meth:`bandwidth_shares` with new semantics MUST override this
-        method as well (or return ``None``), otherwise the engine would
-        keep using the parent's fast path.
-        """
-        return None
+        return ("equal",)
 
     # ------------------------------------------------------------------
     # Helpers shared by concrete policies
@@ -311,24 +237,6 @@ class SchedulerPolicy(abc.ABC):
     def est_isolated_latency_s(self, instance: TaskInstance) -> float:
         """Single-tenant latency estimate for slack computations."""
         return self.prepared_for(instance.graph).isolated_latency_s
-
-    def slack_of(self, instance: TaskInstance, now: float,
-                 est_total_latency_s: float) -> float:
-        """Normalized QoS slack used by slack-aware policies.
-
-        Positive: ahead of the deadline; negative: behind.
-        """
-        if math.isinf(instance.qos_target_s):
-            return 1.0
-        progress = (
-            instance.layer_index / max(instance.num_layers, 1)
-        )
-        expected_finish = instance.arrival_time + (
-            est_total_latency_s * (1.0 - progress)
-        ) + (now - instance.arrival_time)
-        slack = instance.arrival_time + instance.qos_target_s \
-            - expected_finish
-        return slack / instance.qos_target_s
 
     def stats(self) -> Dict[str, float]:
         """Policy-specific counters for reports (default: none)."""

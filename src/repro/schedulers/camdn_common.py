@@ -10,13 +10,12 @@ algorithms as AuRORA).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import SoCConfig
 from ..core.allocator import LOOKAHEAD_FRACTION, AllocationDecision
 from ..core.camdn import CaMDNSystem, LayerGrant
 from ..errors import SimulationError
-from ..memory.bwalloc import DemandProportionalPolicy, SlackWeightedPolicy
 from ..sim import native as _native
 from ..sim.task import LayerWork, TaskInstance
 from .base import SchedulerPolicy
@@ -36,17 +35,15 @@ class CaMDNSchedulerBase(SchedulerPolicy):
     #: CaMDN system mode; overridden by subclasses.
     mode = "full"
 
-    #: Both share policies floor every tenant's share above zero.
-    positive_shares = True
-
     def __init__(self, qos_mode: bool = False, urgency: float = 3.0,
                  floor: float = 0.02,
                  usage_levels: Optional[tuple] = None,
                  lbm_occupancy_fraction: Optional[float] = None) -> None:
         super().__init__()
         self.qos_mode = qos_mode
-        self._bw_policy = SlackWeightedPolicy(urgency=urgency, floor=floor)
-        self._demand_policy = DemandProportionalPolicy(floor=floor)
+        #: Bandwidth share parameters (see rate_kernel).
+        self._urgency = urgency
+        self._floor = floor
         self.usage_levels = usage_levels
         self.lbm_occupancy_fraction = lbm_occupancy_fraction
         self.system: Optional[CaMDNSystem] = None
@@ -90,10 +87,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self._work_cache = {}
         self._timeouts = 0
         self._lbm_layers = 0
-        self._freq_hz = soc.npu.frequency_hz
-        #: n -> (base, remaining) demand-share constants (exact floats
-        #: of DemandProportionalPolicy.allocate_list for that n).
-        self._share_consts: Dict[int, tuple] = {}
         # Bound hot-path methods: the per-layer chain runs twice per
         # simulated event, so the attribute walks are resolved once.
         self._alloc_end = self.system.allocator.end_layer_prepared
@@ -116,13 +109,13 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         CPT, page reverse maps, task contexts) rides the payload by
         reference — the ``_ctx`` tuples are the very objects pinned on
         the instances' ``sched_ctx``, and one shared pickle keeps those
-        identities.  The id-keyed work cache and the per-n share
-        constants are pure memos and stay behind."""
+        identities.  The id-keyed work cache is a pure memo and stays
+        behind."""
         state = super().snapshot_state()
         state.update(
             qos_mode=self.qos_mode,
-            bw_policy=self._bw_policy,
-            demand_policy=self._demand_policy,
+            urgency=self._urgency,
+            floor=self._floor,
             usage_levels=self.usage_levels,
             lbm_occupancy_fraction=self.lbm_occupancy_fraction,
             system=self.system,
@@ -137,8 +130,8 @@ class CaMDNSchedulerBase(SchedulerPolicy):
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
         self.qos_mode = state["qos_mode"]
-        self._bw_policy = state["bw_policy"]
-        self._demand_policy = state["demand_policy"]
+        self._urgency = state["urgency"]
+        self._floor = state["floor"]
         self.usage_levels = state["usage_levels"]
         self.lbm_occupancy_fraction = state["lbm_occupancy_fraction"]
         self.system = state["system"]
@@ -150,7 +143,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         # id()-keyed memos never survive a process change; rebuilt
         # lazily with identical pure values.
         self._work_cache = {}
-        self._share_consts = {}
         # Re-bind the hot-path methods to the restored system (attach()
         # bound them to the fresh one it built, now discarded).
         self._alloc_end = self.system.allocator.end_layer_prepared
@@ -561,97 +553,17 @@ class CaMDNSchedulerBase(SchedulerPolicy):
 
     # ------------------------------------------------------------------
 
-    def dram_efficiency(self, instance: TaskInstance,
-                        num_running: int) -> float:
+    def dram_efficiency(self, num_running: int) -> float:
         return CAMDN_DRAM_EFFICIENCY
 
-    def uniform_dram_efficiency(self, num_running: int
-                                ) -> Optional[float]:
-        return CAMDN_DRAM_EFFICIENCY
-
-    def rate_kernel(self) -> Optional[tuple]:
-        """Non-QoS mode is plain demand-proportional over the remaining
-        work; QoS mode is AuRORA's slack-weighted rule.  Both are
-        expressible as fused specs."""
+    def rate_kernel(self) -> tuple:
+        """Demand-proportional shares by default (bandwidth allocation
+        is orthogonal to CaMDN and the baselines also manage it);
+        AuRORA's slack-weighted rule in QoS mode (the Figure 9
+        integration)."""
         if self.qos_mode:
-            return (
-                "slack_weighted",
-                self._bw_policy.urgency,
-                self._bw_policy.floor,
-            )
-        return ("demand_prop", self._demand_policy.floor)
-
-    def bandwidth_shares(self, running: Dict[str, TaskInstance],
-                         now: float) -> Dict[str, float]:
-        """Demand-proportional shares by default (bandwidth allocation is
-        orthogonal to CaMDN and the baselines also manage it); AuRORA's
-        slack-weighted allocation in QoS mode (the Figure 9 integration).
-        """
-        if not running:
-            return {}
-        demands = {}
-        for iid, inst in running.items():
-            compute_s = max(
-                inst.rem_compute_cycles / self.soc.npu.frequency_hz, 1e-9
-            )
-            demands[iid] = max(inst.rem_dram_bytes, 1.0) / compute_s
-        if not self.qos_mode:
-            return dict(self._demand_policy.allocate(demands).shares)
-        slacks = {}
-        for iid, inst in running.items():
-            est = self.est_isolated_latency_s(inst)
-            slacks[iid] = self.slack_of(inst, now, est)
-        allocation = self._bw_policy.allocate(demands, slacks)
-        return dict(allocation.shares)
-
-    def bandwidth_shares_list(
-        self,
-        insts: Sequence[TaskInstance],
-        rem_compute: Sequence[float],
-        rem_dram: Sequence[float],
-        now: float,
-    ) -> Optional[List[float]]:
-        """Positional fast path mirroring :meth:`bandwidth_shares`.
-
-        The non-QoS branch inlines
-        :meth:`~repro.memory.bwalloc.DemandProportionalPolicy.allocate_list`
-        with the exact same expressions in the exact same order (demands
-        are always positive here, so its non-negative fast path is the
-        only reachable one), fusing the demand and share computations
-        that run once per simulated event.
-        """
-        if not insts:
-            return []
-        freq = self._freq_hz
-        demands = [
-            (rem_d if rem_d > 1.0 else 1.0)
-            / (t if (t := rem_c / freq) > 1e-9 else 1e-9)
-            for rem_c, rem_d in zip(rem_compute, rem_dram)
-        ]
-        if not self.qos_mode:
-            n = len(demands)
-            consts = self._share_consts.get(n)
-            if consts is None:
-                floor = self._demand_policy.floor
-                floor_total = floor * n if floor * n < 1 else 0.0
-                consts = (
-                    floor if floor_total else 0.0,
-                    1.0 - floor_total,
-                )
-                self._share_consts[n] = consts
-            base, remaining = consts
-            total = sum(demands)
-            if total > 0:
-                return [
-                    base + remaining * (d / total) for d in demands
-                ]
-            return self._demand_policy.allocate_list(demands)
-        slack_of = self.slack_of
-        est_of = self.est_isolated_latency_s
-        slacks = [
-            slack_of(inst, now, est_of(inst)) for inst in insts
-        ]
-        return self._bw_policy.allocate_list(demands, slacks)
+            return ("slack_weighted", self._urgency, self._floor)
+        return ("demand_prop", self._floor)
 
     def stats(self) -> Dict[str, float]:
         return {

@@ -12,9 +12,7 @@ their targets).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
 
-from ..memory.bwalloc import DemandProportionalPolicy
 from ..sim.task import TaskInstance
 from .shared_baseline import SharedCacheBaseline
 
@@ -30,16 +28,13 @@ class MoCAScheduler(SharedCacheBaseline):
 
     name = "moca"
 
-    #: Demand-proportional shares track each task's remaining layer work,
-    #: which drains continuously — rates change at every event.
-    dynamic_rates = True
-
     def __init__(self, floor: float = 0.02) -> None:
         super().__init__()
-        self._policy = DemandProportionalPolicy(floor=floor)
+        #: Share every tenant is guaranteed (see repro.memory.bwalloc).
+        self._floor = floor
         # Active tasks with a finite deadline; when zero, the slack
         # throttle degenerates to halving every demand, which cancels
-        # out of the proportional allocation (see bandwidth_shares_list).
+        # out of the proportional allocation (see rate_kernel).
         self._finite_qos_active = 0
         # Admitted tenants whose model carries a latency target.
         self._deadline_tenants = 0
@@ -72,11 +67,11 @@ class MoCAScheduler(SharedCacheBaseline):
         return stats
 
     def snapshot_state(self) -> dict:
-        # _policy carries constructor config (the floor), which a
-        # default-constructed scheduler would not know — ship it too.
+        # The floor is constructor config, which a default-constructed
+        # scheduler would not know — ship it too.
         state = super().snapshot_state()
         state.update(
-            bw_floor_policy=self._policy,
+            floor=self._floor,
             finite_qos_active=self._finite_qos_active,
             deadline_tenants=self._deadline_tenants,
         )
@@ -84,7 +79,7 @@ class MoCAScheduler(SharedCacheBaseline):
 
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
-        self._policy = state["bw_floor_policy"]
+        self._floor = state["floor"]
         self._finite_qos_active = state["finite_qos_active"]
         self._deadline_tenants = state["deadline_tenants"]
 
@@ -104,14 +99,7 @@ class MoCAScheduler(SharedCacheBaseline):
             if self._finite_qos_active == 0:
                 self.bump_rate_epoch()
 
-    def dram_efficiency(self, instance: TaskInstance,
-                        num_running: int) -> float:
-        return _MOCA_EFF_FLOOR + _MOCA_EFF_LOCALITY_BONUS / max(
-            num_running, 1
-        )
-
-    def uniform_dram_efficiency(self, num_running: int
-                                ) -> Optional[float]:
+    def dram_efficiency(self, num_running: int) -> float:
         return _MOCA_EFF_FLOOR + _MOCA_EFF_LOCALITY_BONUS / max(
             num_running, 1
         )
@@ -119,83 +107,14 @@ class MoCAScheduler(SharedCacheBaseline):
     # ------------------------------------------------------------------
 
     def rate_kernel(self):
-        """With no finite-deadline task active, the slack throttle
-        cancels out of the proportional allocation (see
-        :meth:`bandwidth_shares_list`) and the rule is plain
-        demand-proportional; with the throttle awake the rule is the
-        slack-throttled spec (demands halved when slack > 0.5, then
-        demand-proportional).  Both are fusable.  The epoch bumps in
-        the task hooks re-trigger resolution at each transition."""
+        """Demand-proportional partitioning that throttles tenants with
+        generous slack: with a finite-deadline task active, the
+        slack-throttled spec (demands halved when slack > 0.5).  With
+        none, every slack is the no-deadline 1.0, so every demand is
+        halved — which scales the proportional total by exactly 0.5
+        (a power of two, no rounding) and leaves every share
+        bit-identical to plain demand-proportional.  The epoch bumps in
+        the task hooks re-resolve the spec at each transition."""
         if self._finite_qos_active:
-            return ("slack_throttled", self._policy.floor)
-        return ("demand_prop", self._policy.floor)
-
-    def _demand(self, instance: TaskInstance) -> float:
-        """Bytes/s the instance could consume: remaining layer DRAM work
-        over the layer's compute-bound time (memory-bound layers demand
-        more than their fair share)."""
-        compute_s = max(
-            instance.rem_compute_cycles / self.soc.npu.frequency_hz,
-            1e-9,
-        )
-        return max(instance.rem_dram_bytes, 1.0) / compute_s
-
-    def _slack(self, instance: TaskInstance, now: float) -> float:
-        est = self.est_isolated_latency_s(instance)
-        return self.slack_of(instance, now, est)
-
-    def bandwidth_shares(self, running: Dict[str, TaskInstance],
-                         now: float) -> Dict[str, float]:
-        if not running:
-            return {}
-        demands = {
-            iid: self._demand(inst) for iid, inst in running.items()
-        }
-        # MoCA throttles tenants with generous slack: halve the demand of
-        # tasks more than 50 % ahead of their deadline.
-        for iid, inst in running.items():
-            if self._slack(inst, now) > 0.5:
-                demands[iid] *= 0.5
-        allocation = self._policy.allocate(demands)
-        return dict(allocation.shares)
-
-    def bandwidth_shares_list(
-        self,
-        insts: Sequence[TaskInstance],
-        rem_compute: Sequence[float],
-        rem_dram: Sequence[float],
-        now: float,
-    ) -> Optional[List[float]]:
-        """Positional fast path: same demand/slack arithmetic as the dict
-        path, with remaining work read from the kernel arrays and the
-        demand total accumulated in insertion order."""
-        if not insts:
-            return []
-        freq = self.soc.npu.frequency_hz
-        if not self._finite_qos_active:
-            # No deadlines anywhere: every slack is 1.0 > 0.5, so the
-            # throttle halves every demand.  Halving all demands scales
-            # the proportional total by exactly 0.5 (power-of-two, no
-            # rounding), leaving every quotient — and thus every share —
-            # bit-identical, so skip it.
-            demands = [
-                max(rem_d, 1.0) / max(rem_c / freq, 1e-9)
-                for rem_c, rem_d in zip(rem_compute, rem_dram)
-            ]
-            return self._policy.allocate_list(demands)
-        slack_of = self.slack_of
-        est_of = self.est_isolated_latency_s
-        demands = []
-        for inst, rem_c, rem_d in zip(insts, rem_compute, rem_dram):
-            compute_s = max(rem_c / freq, 1e-9)
-            demand = max(rem_d, 1.0) / compute_s
-            # MoCA throttles tenants with generous slack: halve the
-            # demand of tasks more than 50 % ahead of their deadline.
-            if math.isinf(inst.qos_target_s):
-                slack = 1.0
-            else:
-                slack = slack_of(inst, now, est_of(inst))
-            if slack > 0.5:
-                demand *= 0.5
-            demands.append(demand)
-        return self._policy.allocate_list(demands)
+            return ("slack_throttled", self._floor)
+        return ("demand_prop", self._floor)

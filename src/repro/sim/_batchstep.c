@@ -22,8 +22,8 @@
  *   rem'     = max(rem - dt * rate, 0.0)
  *   finished = rem_c' <= 1e-9 and rem_d' <= 1e-9
  *
- * (see CaMDNSchedulerBase.bandwidth_shares_list,
- * MultiTenantEngine._recompute_rates and RunningKernel.step).  All
+ * (see repro.memory.bwalloc.shares, MultiTenantEngine._recompute_rates
+ * and RunningKernel.step).  All
  * operations are IEEE-754 binary64 with correctly-rounded results, so
  * compiling without FP contraction (-ffp-contract=off) and without
  * value-changing optimisations makes the C results identical to
@@ -82,9 +82,9 @@ read_doubles(PyObject *list, double *out, Py_ssize_t n)
  * slack modes read the kernel's per-instance slack inputs (arrival
  * time, QoS target, estimated isolated latency, layer progress):
  * MODE_SLACK_WEIGHTED is AuRORA's exponential slack weighting
- * (SlackWeightedPolicy.allocate_list), MODE_SLACK_THROTTLED is MoCA's
+ * (bwalloc "slack_weighted"), MODE_SLACK_THROTTLED is MoCA's
  * halve-when-comfortable throttle feeding the demand-proportional
- * split (MoCAScheduler.bandwidth_shares_list, deadline branch).
+ * split (bwalloc "slack_throttled").
  *
  * Returns None when the inputs fall outside the fast path (non-float
  * items, non-positive demand total); the caller then runs the exact
@@ -187,8 +187,7 @@ fused_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
     if (mode == MODE_DEMAND_PROP) {
         /* Demands and their left-to-right total
-         * (CaMDNSchedulerBase.bandwidth_shares_list /
-         * MoCAScheduler.bandwidth_shares_list, no-deadline branch). */
+         * (bwalloc "demand_prop"). */
         total = 0.0;
         for (i = 0; i < n; i++) {
             double t = c[i] / freq;
@@ -199,13 +198,13 @@ fused_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             total += demand;
         }
         if (n > 0 && !(total > 0.0)) {
-            /* Unreachable with positive work, but the Python fallback
-             * (DemandProportionalPolicy.allocate_list) owns this case. */
+            /* Unreachable (every demand is positive); the Python path
+             * owns this case. */
             goto bail_none;
         }
         {
-            /* Share constants (DemandProportionalPolicy.allocate_list:
-             * floor_total, base, remaining — same floats for any n). */
+            /* Share constants (bwalloc.shares: floor_total, base,
+             * remaining — same floats for any n). */
             double floor_total = fl * (double)n;
             double base, remaining;
             if (!(floor_total < 1.0)) {
@@ -226,7 +225,7 @@ fused_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     else if (mode == MODE_SLACK_WEIGHTED ||
              mode == MODE_SLACK_THROTTLED) {
         /* Weights and their left-to-right total.  Slack transcribes
-         * SchedulerPolicy.slack_of exactly; the demand shape matches
+         * bwalloc._slacks exactly; the demand shape matches
          * MODE_DEMAND_PROP.  Inputs are read per element so a single
          * foreign item bails before any state is touched. */
         total = 0.0;
@@ -249,7 +248,7 @@ fused_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             num = d[i] > 1.0 ? d[i] : 1.0;
             demand = num / den;
             if (isinf(q)) {
-                /* No deadline: slack_of's early return. */
+                /* No deadline: slack is 1.0. */
                 slack = 1.0;
             }
             else {
@@ -266,7 +265,7 @@ fused_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             }
             else {
                 /* AuRORA: clamp slack, weigh exponentially
-                 * (SlackWeightedPolicy.allocate_list). */
+                 * (bwalloc "slack_weighted"). */
                 double s2 = slack > -20.0 ? slack : -20.0;
                 s2 = s2 < 20.0 ? s2 : 20.0;
                 w = (demand > 1.0 ? demand : 1.0)
@@ -310,7 +309,7 @@ fused_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         }
     }
 
-    /* Min event time (RunningKernel.step list backend). */
+    /* Min event time (RunningKernel.step). */
     dt = Py_HUGE_VAL;
     for (i = 0; i < n; i++) {
         double t_c = c[i] / rc[i];
@@ -332,7 +331,7 @@ fused_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return Py_BuildValue("(dO)", dt, Py_None);
     }
 
-    /* Advance and completion scan (RunningKernel.advance). */
+    /* Advance and completion scan (RunningKernel.step). */
     for (i = 0; i < n; i++) {
         double nc = c[i] - dt * rc[i];
         double nd;

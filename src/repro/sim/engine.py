@@ -21,8 +21,8 @@ with lazy invalidation, so timeout processing is O(1) peeks except at the
 events where a waiter is actually due.  Rate recomputation is driven by
 explicit invalidation notifications at the exact state transitions that
 can change shares — membership changes always invalidate; layer-work
-changes only invalidate policies whose shares track task progress
-(:attr:`SchedulerPolicy.dynamic_rates`).
+changes only invalidate policies whose shares track task progress (every
+rate spec except ``("equal",)``).
 
 The event loop is a **batched multi-event stepper**
 (:meth:`MultiTenantEngine._batch_run`): one Python-level entry processes
@@ -32,15 +32,16 @@ queued for dispatch, or the policy's rate rule changed epoch).  Inside
 the batch, each event is one fused call — rate recomputation, min-dt
 search, fluid advance and completion scan in a single step — through
 the native kernel (:mod:`repro.sim.native`, a small C extension
-compiled on demand) when the policy declares a fusable rate rule
-(:meth:`~repro.schedulers.base.SchedulerPolicy.rate_kernel`), and
-through :meth:`RunningKernel.step` otherwise.  Static-rate policies ride
-the same batch loop (the former special-cased fast-forward); their rates
-are simply not recomputed until invalidated.  Each piecewise-constant
-interval is still stepped individually — exactness requires draining
-every interval with the same arithmetic — so batching elides
-bookkeeping, never events, and every fused path is bit-identical to the
-split Python path by construction.
+compiled on demand) for the policy's declared rate rule
+(:meth:`~repro.schedulers.base.SchedulerPolicy.rate_kernel`).  Without
+the native kernel, each event computes the rule's shares in Python
+(:func:`repro.memory.bwalloc.shares`) and steps with
+:meth:`RunningKernel.step`.  ``("equal",)`` policies ride the same batch
+loop; their rates are simply not recomputed until invalidated.  Each
+piecewise-constant interval is still stepped individually — exactness
+requires draining every interval with the same arithmetic — so batching
+elides bookkeeping, never events, and the native and Python paths are
+bit-identical.
 
 Dynamic tenancy: a tenant that joins mid-run is admitted through the
 scheduler's :meth:`~repro.schedulers.base.SchedulerPolicy.on_tenant_admit`
@@ -69,6 +70,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import SoCConfig
 from ..errors import SimulationError
+from ..memory import bwalloc
 from . import native
 from .faults import (
     CORE_OFFLINE,
@@ -183,8 +185,8 @@ class SimulationResult:
     def metric_summary(self) -> Dict[str, float]:
         """Simulated-outcome metrics only (no wall-clock keys).
 
-        This is the byte-identity surface: two engines (or backends, or
-        cache layers) agree iff their ``metric_summary()`` dicts are
+        This is the byte-identity surface: two engines (or step paths,
+        or cache layers) agree iff their ``metric_summary()`` dicts are
         byte-identical under ``json.dumps``.  Scenario-level additions
         (queueing delay, offered load) live in :meth:`summary` so the
         frozen closed-loop references stay valid.
@@ -206,7 +208,6 @@ class MultiTenantEngine:
     def __init__(self, soc: SoCConfig, scheduler: "SchedulerPolicy",
                  workload: ScenarioWorkload,
                  trace: Optional["TraceRecorder"] = None,
-                 kernel_backend: Optional[str] = None,
                  use_native: Optional[bool] = None,
                  event_recorder: Optional["EventTraceRecorder"] = None,
                  faults: Optional[FaultSpec] = None,
@@ -223,38 +224,33 @@ class MultiTenantEngine:
         self.events_processed = 0
         self.cancelled = 0
         self._completed = 0
-        self._dynamic_rates = scheduler.dynamic_rates
         # Optional fused end+begin scheduler hook (see
         # _process_completions); policies without it use the split path.
         self._advance_layer = getattr(scheduler, "advance_layer", None)
-        self._shares_fn = scheduler.bandwidth_shares_list
-        self._positive_shares = getattr(scheduler, "positive_shares",
-                                        False)
         self._queued: List[TaskInstance] = []
         self._active: Dict[str, TaskInstance] = {}
         #: stream_id -> in-flight instance id (dynamic-tenancy lookups).
         self._stream_active: Dict[str, str] = {}
         self._free_cores = soc.num_npu_cores
         self._core_grant: Dict[str, int] = {}
-        # SoC constants and per-width uniform efficiencies, cached off
+        # SoC constants and per-width DRAM efficiencies, cached off
         # the per-event rate path.  Coerced to float so the native fused
         # step sees binary64 operands (int-valued configs divide to the
         # same quotients either way).
         self._total_bw = float(soc.dram.total_bandwidth_bytes_per_s)
         self._freq = float(soc.npu.frequency_hz)
-        self._uniform_eff: Dict[int, Optional[float]] = {}
+        self._dram_eff: Dict[int, float] = {}
         # SoA kernel over the RUNNING set.
-        self._kernel = RunningKernel(force_backend=kernel_backend)
-        # Native fused stepper (None: pure-Python paths).  An explicit
-        # kernel backend means a test is pinning the step arithmetic to
-        # one implementation, so the fused path stands down.
+        self._kernel = RunningKernel()
+        # Native fused stepper (None: pure-Python path).
         self._native = None
-        if use_native is not False and kernel_backend is None:
+        if use_native is not False:
             self._native = native.fused_step()
-        # Fused rate mode, resolved from the policy's rate_kernel() per
-        # rate epoch (see _resolve_rate_mode): 0 = split path,
-        # 1 = demand_prop, 2 = slack_weighted, 3 = slack_throttled.
+        # The policy's rate spec and its fused-step mode, resolved from
+        # rate_kernel() per rate epoch (see _resolve_rate_mode).
+        self._rate_spec: Optional[tuple] = None
         self._fused_mode = 0
+        self._dynamic_rates = False
         self._mode_floor = 0.0
         self._mode_urgency = 0.0
         self._rate_epoch_seen = 0
@@ -345,7 +341,6 @@ class MultiTenantEngine:
         self._setup_checkpoints(checkpoint_every_s, checkpoint_dir,
                                 snapshot_at_events, start)
         self.scheduler.attach(self.soc)
-        self._dynamic_rates = self.scheduler.dynamic_rates
         self._resolve_rate_mode()
         self._process_timeline(initial=True)
         return self._finish_run(start)
@@ -424,13 +419,11 @@ class MultiTenantEngine:
 
     @classmethod
     def resume(cls, snapshot, use_native: Optional[bool] = None,
-               kernel_backend: Optional[str] = None,
                ) -> "MultiTenantEngine":
         """Reconstruct a runnable engine from an
         :class:`~repro.sim.snapshot.EngineSnapshot`; continue it with
         :meth:`resume_run`."""
-        return snapshot.resume(use_native=use_native,
-                               kernel_backend=kernel_backend)
+        return snapshot.resume(use_native=use_native)
 
     def _setup_checkpoints(self, every_s: Optional[float],
                            directory: Optional[str],
@@ -481,9 +474,8 @@ class MultiTenantEngine:
         payload: instances reachable through the kernel, the active map,
         the wait heap and the queue are the same objects; the workload's
         event recorder is the engine's; the scheduler state's SoC is the
-        engine's.  Pure memos (uniform efficiencies, prepared models,
-        share constants) are excluded and rebuild lazily with identical
-        values.
+        engine's.  Pure memos (DRAM efficiencies, prepared models) are
+        excluded and rebuild lazily with identical values.
         """
         scheduler = self.scheduler
         return {
@@ -555,7 +547,7 @@ class MultiTenantEngine:
         self._rates_valid = eng["rates_valid"]
         self._kernel.restore_state(eng["kernel"])
         # Pure memo: rebuilt on demand with identical values.
-        self._uniform_eff = {}
+        self._dram_eff = {}
 
     def _offered_load_ratio(self) -> float:
         """Offered rate over the offer window vs completion rate over the
@@ -640,55 +632,39 @@ class MultiTenantEngine:
         return err
 
     def _resolve_rate_mode(self) -> None:
-        """Cache the policy's fusable rate rule for the current epoch.
+        """Cache the policy's rate spec for the current epoch.
 
-        A policy advertising a fusable spec gets the fused
-        recompute+step path (native when compiled, pure Python
-        otherwise); anything else keeps the split
-        ``_recompute_rates`` + ``kernel.step`` pair.  Supported specs
-        (see :meth:`SchedulerPolicy.rate_kernel`):
-
-        * ``("demand_prop", floor)``     -> mode 1
-        * ``("slack_weighted", urgency, floor)`` -> mode 2
-        * ``("slack_throttled", floor)`` -> mode 3
-
-        The slack modes additionally switch the kernel's slack-input
-        SoA tracking on (``configure_slack``), so per-instance deadline
-        /est/progress inputs ride alongside the fluid arrays.
-        Re-resolved whenever the policy bumps
+        The spec's fused-step mode selects the native kernel's rate rule
+        (:data:`repro.memory.bwalloc.MODES`); the slack specs also
+        switch the kernel's slack-input SoA tracking on
+        (``configure_slack``), so per-instance deadline/est/progress
+        inputs ride alongside the fluid arrays.  A changed spec
+        invalidates the installed rates.  Re-resolved whenever the
+        policy bumps
         :attr:`~repro.schedulers.base.SchedulerPolicy.rate_epoch`.
         """
         scheduler = self.scheduler
-        kernel = self._kernel
         self._rate_epoch_seen = scheduler.rate_epoch
-        self._fused_mode = 0
-        self._mode_floor = 0.0
-        self._mode_urgency = 0.0
-        if kernel._force_backend is not None:
-            # A pinned kernel backend means the test wants that exact
-            # step implementation: keep the split path.
-            kernel.configure_slack(False)
-            return
         spec = scheduler.rate_kernel()
-        if spec is None:
-            kernel.configure_slack(False)
-            return
-        kind = spec[0]
-        if kind == "demand_prop":
-            self._fused_mode = 1
-            self._mode_floor = float(spec[1])
-            kernel.configure_slack(False)
-        elif kind == "slack_weighted":
-            self._fused_mode = 2
-            self._mode_urgency = float(spec[1])
-            self._mode_floor = float(spec[2])
-            kernel.configure_slack(True, scheduler.est_isolated_latency_s)
-        elif kind == "slack_throttled":
-            self._fused_mode = 3
-            self._mode_floor = float(spec[1])
-            kernel.configure_slack(True, scheduler.est_isolated_latency_s)
-        else:
-            kernel.configure_slack(False)
+        mode = bwalloc.mode_of(spec)
+        if spec != self._rate_spec:
+            self._rate_spec = spec
+            self._rates_valid = False
+        self._fused_mode = mode
+        self._dynamic_rates = mode != 0
+        self._mode_floor = float(spec[-1]) if mode else 0.0
+        self._mode_urgency = float(spec[1]) if mode == 2 else 0.0
+        self._kernel.configure_slack(mode in bwalloc.SLACK_MODES,
+                                     scheduler.est_isolated_latency_s)
+
+    def _dram_efficiency(self, n: int) -> float:
+        """The policy's DRAM efficiency at running-set width ``n``
+        (memoized: a pure function of the width)."""
+        try:
+            return self._dram_eff[n]
+        except KeyError:
+            eff = self._dram_eff[n] = self.scheduler.dram_efficiency(n)
+            return eff
 
     def _batch_run(self) -> None:
         """Process a run of events without leaving this frame.
@@ -697,10 +673,11 @@ class MultiTenantEngine:
         classic loop — rates, boundary clamp, step, completions — and
         returns as soon as any post-event phase (timeout, timeline,
         dispatch, epoch change) must run, leaving that work to the
-        caller.  When the policy declares a fusable rate rule, the
-        rates-recompute and the kernel step collapse into one fused call
-        per event (native C when available); otherwise the split Python
-        pair runs inside the same loop.  All paths are bit-identical.
+        caller.  With the native kernel, the rates recompute and the
+        kernel step collapse into one fused call per event; otherwise
+        (and whenever the native call bails) the Python pair
+        :meth:`_recompute_rates` + :meth:`RunningKernel.step` runs
+        inside the same loop.  Both paths are bit-identical.
         """
         kernel = self._kernel
         insts = kernel.insts
@@ -712,9 +689,6 @@ class MultiTenantEngine:
             self._resolve_rate_mode()
         step = kernel.step
         native_step = self._native
-        fused_py = kernel.fused_step_demand
-        fused_slack_py = kernel.fused_step_slack
-        uniform_eff = self._uniform_eff
         freq = self._freq
         total_bw = self._total_bw
         dynamic = self._dynamic_rates
@@ -754,33 +728,26 @@ class MultiTenantEngine:
                 if wait_dt < 0.0:
                     wait_dt = 0.0
             res = None
-            if fused_mode:
-                n = len(insts)
-                if n != n_eff:
-                    try:
-                        eff = uniform_eff[n]
-                    except KeyError:
-                        eff = scheduler.uniform_dram_efficiency(n)
-                        uniform_eff[n] = eff
-                    if eff is None:
-                        # Per-instance efficiencies: not fusable after
-                        # all; drop to the split path for this run.
-                        self._fused_mode = fused_mode = 0
-                    n_eff = n
-                if fused_mode and n:
-                    if kernel._use_np:
-                        kernel._materialize()
+            if native_step is not None:
+                if not fused_mode:
+                    if self._rates_valid:
+                        res = native_step(
+                            kernel.rem_c, kernel.rem_d,
+                            kernel.rate_c, kernel.rate_d,
+                            wait_dt, 0, freq, total_bw, 1.0, 0.0,
+                        )
+                elif insts:
+                    n = len(insts)
+                    if n != n_eff:
+                        eff = self._dram_efficiency(n)
+                        n_eff = n
                     if fused_mode == 1:
-                        if native_step is not None:
-                            res = native_step(
-                                kernel.rem_c, kernel.rem_d,
-                                kernel.rate_c, kernel.rate_d,
-                                wait_dt, 1, freq, total_bw, eff, floor,
-                            )
-                        else:
-                            res = fused_py(wait_dt, freq, total_bw, eff,
-                                           floor)
-                    elif native_step is not None:
+                        res = native_step(
+                            kernel.rem_c, kernel.rem_d,
+                            kernel.rate_c, kernel.rate_d,
+                            wait_dt, 1, freq, total_bw, eff, floor,
+                        )
+                    else:
                         res = native_step(
                             kernel.rem_c, kernel.rem_d,
                             kernel.rate_c, kernel.rate_d,
@@ -789,22 +756,10 @@ class MultiTenantEngine:
                             kernel.sl_est, kernel.sl_progress,
                             self.now, urgency,
                         )
-                    else:
-                        res = fused_slack_py(
-                            wait_dt, freq, total_bw, eff, floor,
-                            urgency, self.now, fused_mode == 3,
-                        )
-            elif native_step is not None and self._rates_valid \
-                    and not kernel._use_np:
-                res = native_step(
-                    kernel.rem_c, kernel.rem_d,
-                    kernel.rate_c, kernel.rate_d,
-                    wait_dt, 0, freq, total_bw, 1.0, 0.0,
-                )
             if res is None:
-                # Split path: the exact pre-batch per-event machinery
-                # (also the fallback for inputs outside the fused
-                # fast-path shape).
+                # Python path: the policy's share rule, then the kernel
+                # step (also the fallback for inputs the native call
+                # bails on).
                 if not self._rates_valid:
                     self._recompute_rates()
                 dt, finished = step(wait_dt)
@@ -848,49 +803,16 @@ class MultiTenantEngine:
         fluid advance always use the same (finite-progress) rate.
         """
         kernel = self._kernel
-        insts = kernel.insts
-        n = len(insts)
-        if not n:
-            kernel.set_rates([], [])
-            self._rates_valid = True
-            return
-        scheduler = self.scheduler
-        rem_c, rem_d = kernel.rem_views()
-        shares = self._shares_fn(insts, rem_c, rem_d, self.now)
-        if shares is None:
-            # Dict-path fallback: sync fluid state so the policy sees
-            # current remaining work, then look shares up by id.
-            kernel.sync_all()
-            running = {inst.instance_id: inst for inst in insts}
-            share_map = scheduler.bandwidth_shares(running, self.now)
-            shares = [share_map.get(inst.instance_id, 0.0)
-                      for inst in insts]
+        n = len(kernel.insts)
+        shares = bwalloc.shares(self._rate_spec, kernel, self._freq,
+                                self.now)
         total_bw = self._total_bw
-        rate_c = [self._freq] * n
-        if not self._positive_shares and min(shares) <= 0:
-            for i in range(n):
-                if shares[i] <= 0 and rem_d[i] > 0:
-                    raise SimulationError(
-                        f"{insts[i].instance_id} has pending DRAM work "
-                        f"but zero bandwidth"
-                    )
-        try:
-            efficiency = self._uniform_eff[n]
-        except KeyError:
-            efficiency = scheduler.uniform_dram_efficiency(n)
-            self._uniform_eff[n] = efficiency
-        if efficiency is not None:
-            rate_d = [
-                r if (r := total_bw * s * efficiency) > 1e-6 else 1e-6
-                for s in shares
-            ]
-        else:
-            rate_d = [0.0] * n
-            for i in range(n):
-                rate = total_bw * shares[i] * \
-                    scheduler.dram_efficiency(insts[i], n)
-                rate_d[i] = rate if rate > 1e-6 else 1e-6
-        kernel.set_rates(rate_c, rate_d)
+        eff = self._dram_efficiency(n)
+        kernel.set_rates(
+            [self._freq] * n,
+            [r if (r := total_bw * s * eff) > 1e-6 else 1e-6
+             for s in shares],
+        )
         self._rates_valid = True
 
     # ------------------------------------------------------------------
@@ -902,13 +824,6 @@ class MultiTenantEngine:
         (equal splits, demand pools and DRAM efficiency all depend on
         membership)."""
         self._rates_valid = False
-
-    def _notify_work_change(self, inst: TaskInstance) -> None:
-        """A running instance started a new layer.  Only policies whose
-        shares track task progress care; membership-only policies keep
-        their cached rates."""
-        if self.scheduler.dynamic_rates:
-            self._rates_valid = False
 
     # ------------------------------------------------------------------
     # Wait heap (lazy invalidation)
@@ -1077,7 +992,7 @@ class MultiTenantEngine:
             )
         elif kind == PAGE_RETIRE:
             # Permanent: the schedule seed and event seq salt the RNG so
-            # the same pages retire on every engine path and backend.
+            # the same pages retire on every engine path.
             rng_key = (
                 f"page-retire:{self._fault_runtime.spec.seed}:{seq}"
             )
@@ -1226,9 +1141,8 @@ class MultiTenantEngine:
             pos = kernel.pos.get(iid)
             if pos is not None:
                 kernel.set_work(inst, pos)
-                # Work-change notification, inlined: only share policies
-                # that track task progress care (see
-                # _notify_work_change).
+                # A new layer only moves shares that track task
+                # progress; ("equal",) policies keep their cached rates.
                 if self._dynamic_rates:
                     self._rates_valid = False
             else:

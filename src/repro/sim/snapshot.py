@@ -57,7 +57,7 @@ if TYPE_CHECKING:
     from .engine import MultiTenantEngine
 
 #: Snapshot format version; bump on any payload/envelope shape change.
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
 #: Fixed pickle protocol so snapshots are portable across the Python
 #: versions the CI matrix covers (protocol 4 is universal on 3.8+).
@@ -243,7 +243,6 @@ class EngineSnapshot:
     # ------------------------------------------------------------------
 
     def resume(self, use_native: Optional[bool] = None,
-               kernel_backend: Optional[str] = None,
                ) -> "MultiTenantEngine":
         """Reconstruct a runnable engine from this snapshot.
 
@@ -252,10 +251,9 @@ class EngineSnapshot:
         ``run()``, which would re-attach the scheduler and wipe the
         restored state).
 
-        ``kernel_backend`` defaults to the backend pinned at capture
-        time (usually ``None`` — auto selection); ``use_native``
-        defaults to auto.  Both only select among bit-identical
-        implementations, so they never change results.
+        ``use_native`` defaults to auto; it only selects between the
+        bit-identical native and Python step paths, so it never changes
+        results.
 
         Raises:
             SnapshotError: the payload does not unpickle into engine
@@ -268,7 +266,6 @@ class EngineSnapshot:
             payload = _loads(self.payload)
             soc = payload["soc"]
             sched_state = payload["scheduler"]["state"]
-            eng_state = payload["engine"]
         except SnapshotError:
             raise
         except Exception as exc:
@@ -279,14 +276,11 @@ class EngineSnapshot:
         scheduler = make_scheduler(self.policy)
         scheduler.attach(soc)
         scheduler.restore_state(sched_state)
-        if kernel_backend is None:
-            kernel_backend = eng_state["kernel"]["force_backend"]
         engine = MultiTenantEngine(
             soc,
             scheduler,
             payload["workload"],
             trace=payload["trace"],
-            kernel_backend=kernel_backend,
             use_native=use_native,
             event_recorder=payload["event_recorder"],
         )

@@ -68,6 +68,26 @@ class TestConstruction:
             RunConfig().replace(checkpoint_every_s=1.0)
 
 
+class TestRemovedOptions:
+    """Options removed outright (no deprecation shim): passing one must
+    fail, never warn-and-continue or be silently ignored."""
+
+    REMOVED = ("kernel_backend",)
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_run_config_rejects(self, name):
+        with pytest.raises(TypeError, match=name):
+            RunConfig(**{name: "list"})
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_legacy_keyword_rejects(self, name, recwarn):
+        with pytest.raises(TypeError, match=name):
+            run_scenario(SCENARIO, policy="baseline", **{name: "list"})
+        assert name not in RUN_CONFIG_KEYS
+        assert not [w for w in recwarn.list
+                    if issubclass(w.category, DeprecationWarning)]
+
+
 class TestShim:
     def test_config_form_matches_legacy_byte_identically(self):
         reference = run_scenario(SCENARIO, policy="camdn-full",

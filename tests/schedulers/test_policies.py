@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import SoCConfig
+from repro.memory import bwalloc
 from repro.models.zoo import build_model
 from repro.schedulers import make_scheduler
 from repro.schedulers.aurora import AuRORAScheduler
@@ -10,6 +11,7 @@ from repro.schedulers.camdn_full import CaMDNFullScheduler
 from repro.schedulers.camdn_hw import CaMDNHWOnlyScheduler
 from repro.schedulers.moca import MoCAScheduler
 from repro.schedulers.shared_baseline import SharedCacheBaseline
+from repro.sim.kernel import RunningKernel
 from repro.sim.task import TaskInstance
 
 
@@ -21,6 +23,19 @@ def _instance(key="MB.", serial=0, qos_s=float("inf")):
         arrival_time=0.0,
         qos_target_s=qos_s,
     )
+
+
+def _shares(policy, insts, now):
+    """The policy's declared share rule over ``insts`` (running, in
+    order), as the engine evaluates it."""
+    spec = policy.rate_kernel()
+    kernel = RunningKernel()
+    kernel.configure_slack(bwalloc.mode_of(spec) in bwalloc.SLACK_MODES,
+                           policy.est_isolated_latency_s)
+    for inst in insts:
+        kernel.add(inst)
+    got = bwalloc.shares(spec, kernel, policy.soc.npu.frequency_hz, now)
+    return {inst.instance_id: s for inst, s in zip(insts, got)}
 
 
 class TestFactory:
@@ -67,9 +82,10 @@ class TestBaselineTrafficModel:
         assert timeout == 0.0
 
     def test_dram_efficiency_degrades_with_tenants(self, policy):
-        inst = _instance()
-        assert policy.dram_efficiency(inst, 1) > \
-            policy.dram_efficiency(inst, 16)
+        assert policy.dram_efficiency(1) > policy.dram_efficiency(16)
+
+    def test_equal_split(self, policy):
+        assert policy.rate_kernel() == ("equal",)
 
     def test_includes_refetch_traffic(self, policy):
         """Access volume must exceed the layer's compulsory footprint for
@@ -93,8 +109,7 @@ class TestMoCAAndAuRORA:
             policy.on_task_start(inst, 0.0)
             work, _ = policy.begin_layer(inst, 0.0)
             inst.begin_work(work)
-        running = {i.instance_id: i for i in (heavy, light)}
-        shares = policy.bandwidth_shares(running, 0.0)
+        shares = _shares(policy, [heavy, light], 0.0)
         assert shares[heavy.instance_id] > shares[light.instance_id]
 
     def test_aurora_boosts_core_count_for_tight_targets(self):
@@ -118,9 +133,7 @@ class TestMoCAAndAuRORA:
         base = SharedCacheBaseline()
         aurora.attach(SoCConfig())
         base.attach(SoCConfig())
-        inst = _instance()
-        assert aurora.dram_efficiency(inst, 16) > \
-            base.dram_efficiency(inst, 16)
+        assert aurora.dram_efficiency(16) > base.dram_efficiency(16)
 
 
 class TestCaMDNPolicies:
@@ -174,8 +187,7 @@ class TestCaMDNPolicies:
             policy.on_task_start(inst, 0.0)
             work, _ = policy.begin_layer(inst, 0.0)
             inst.begin_work(work)
-        running = {i.instance_id: i for i in (late, ok)}
-        shares = policy.bandwidth_shares(running, now=0.01)
+        shares = _shares(policy, [late, ok], now=0.01)
         assert shares[late.instance_id] > shares[ok.instance_id]
 
     def test_stats_track_lbm(self):

@@ -24,7 +24,6 @@ class FixedWork(SchedulerPolicy):
     """Deterministic closed-form policy for timing assertions."""
 
     name = "fixed"
-    dynamic_rates = False
 
     def __init__(self, cycles=1000.0, dram=10.0):
         super().__init__()
@@ -351,7 +350,6 @@ class TestChurnInvariants:
 class TestTenantHooks:
     class Recorder(SchedulerPolicy):
         name = "recorder"
-        dynamic_rates = False
 
         def __init__(self):
             super().__init__()

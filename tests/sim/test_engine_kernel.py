@@ -1,13 +1,12 @@
-"""Kernel-loop reference equivalence, backends, fast-forward and clamp
-tests.
+"""Kernel-loop reference equivalence, kernel step, fast-forward and
+clamp tests.
 
 The structure-of-arrays kernel loop is pinned against the committed
 20-scenario reference summaries (``tests/data/
-metric_summary_reference.json``, captured on the pre-refactor engine);
-the numpy / pure-Python kernel backends must additionally agree
-bit-for-bit with each other.  The legacy per-instance scan loop that
-served as the in-process oracle for one release has been removed — the
-frozen reference JSON is the oracle now.
+metric_summary_reference.json``, captured on the pre-refactor engine).
+The legacy per-instance scan loop that served as the in-process oracle
+for one release has been removed — the frozen reference JSON is the
+oracle now.
 """
 
 import json
@@ -17,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro import simulate
-from repro.config import SoCConfig
+from repro.config import DRAMConfig, SoCConfig
 from repro.schedulers import make_scheduler
 from repro.schedulers.base import SchedulerPolicy
 from repro.sim.engine import MultiTenantEngine
@@ -36,7 +35,7 @@ REFERENCE_PATH = (
 )
 
 
-def _run(policy_name, *, backend=None, keys=KEYS,
+def _run(policy_name, *, use_native=None, keys=KEYS,
          qos_scale=float("inf"), inferences=2):
     spec = WorkloadSpec(
         model_keys=list(keys),
@@ -48,7 +47,7 @@ def _run(policy_name, *, backend=None, keys=KEYS,
         SoCConfig(),
         make_scheduler(policy_name),
         ClosedLoopWorkload(spec),
-        kernel_backend=backend,
+        use_native=use_native,
     )
     return engine.run()
 
@@ -79,62 +78,67 @@ class TestReferenceEquivalence:
         )
 
 
-class TestKernelBackends:
-    @pytest.mark.parametrize("policy", ["baseline", "moca", "camdn-full"])
-    def test_list_and_numpy_backends_identical(self, policy):
-        pytest.importorskip("numpy")
-        listy = _run(policy, backend="list")
-        numpyy = _run(policy, backend="numpy")
-        assert _metrics_json(listy) == _metrics_json(numpyy)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            RunningKernel(force_backend="fortran")
-
-    def test_membership_and_step(self):
-        """Unit-level kernel check against the scalar reference math."""
+class TestKernelStep:
+    @pytest.mark.parametrize("works,rate,wait_dt,dt,finished,rem", [
+        # Soonest completion: max(1000/1e9, 500/1e9) = 1 us.
+        ([(1000.0, 500.0), (2000.0, 500.0), (3000.0, 500.0)], 1e9,
+         math.inf, 1e-6, [0], [0.0, 0.0, 1000.0, 0.0, 2000.0, 0.0]),
+        # A layer ends when its slower stream drains: 4000 B at 1000 B/s.
+        ([(1000.0, 4000.0)], 1000.0, math.inf, 4.0, [0], [0.0, 0.0]),
+        # A due wakeup cuts the step short: both streams drain partway.
+        ([(1000.0, 2000.0)], 1000.0, 0.5, 0.5, [], [500.0, 1500.0]),
+        # The faster stream overshoots its remainder and clamps at zero.
+        ([(10.0, 1000.0)], 1e9, math.inf, 1e-6, [0], [0.0, 0.0]),
+    ])
+    def test_membership_and_step(self, works, rate, wait_dt, dt,
+                                 finished, rem):
+        """Unit-level kernel check against closed-form fluid math."""
         from repro.sim.task import TaskInstance
         from repro.models.zoo import build_model
 
-        kernel = RunningKernel(force_backend="list")
+        kernel = RunningKernel()
         graph = build_model("MB.")
         insts = []
-        for i in range(3):
+        for i, (cycles, dram) in enumerate(works):
             inst = TaskInstance(instance_id=f"t{i}", stream_id=f"t{i}",
                                 graph=graph, arrival_time=0.0)
-            inst.begin_work(LayerWork(compute_cycles=1000.0 * (i + 1),
-                                      dram_bytes=500.0))
+            inst.begin_work(LayerWork(compute_cycles=cycles,
+                                      dram_bytes=dram))
             kernel.add(inst)
             insts.append(inst)
-        kernel.set_rates([1e9] * 3, [1e9] * 3)
-        dt, finished = kernel.step(math.inf)
-        # Soonest completion: max(1000/1e9, 500/1e9) = 1 us.
-        assert dt == pytest.approx(1e-6)
-        assert finished == [0]
-        kernel.sync_all()
-        assert insts[0].rem_compute_cycles == 0.0
-        assert insts[2].rem_compute_cycles == pytest.approx(2000.0)
+        n = len(insts)
+        kernel.set_rates([rate] * n, [rate] * n)
+        got_dt, got_finished = kernel.step(wait_dt)
+        assert got_dt == pytest.approx(dt)
+        assert got_finished == finished
+        drained = [x for pair in zip(kernel.rem_c, kernel.rem_d)
+                   for x in pair]
+        assert drained == pytest.approx(rem)
+        assert min(drained) >= 0.0
+        # Finished instances get their fluid state written back.
+        for inst in kernel.take_finished(got_finished):
+            assert inst.rem_compute_cycles == 0.0
+            assert inst.rem_dram_bytes == 0.0
+        # Removal writes back too, and compacts positions in order.
+        ids = [inst.instance_id for inst in insts]
         kernel.remove(insts[0])
-        assert [i.instance_id for i in kernel.insts] == ["t1", "t2"]
-        assert kernel.pos == {"t1": 0, "t2": 1}
+        assert [insts[0].rem_compute_cycles, insts[0].rem_dram_bytes] \
+            == drained[:2]
+        assert [i.instance_id for i in kernel.insts] == ids[1:]
+        assert kernel.pos == {iid: j for j, iid in enumerate(ids[1:])}
 
 
-class FixedShareScheduler(SchedulerPolicy):
-    """Static-rate policy granting a (possibly tiny) bandwidth share."""
+class FixedWork(SchedulerPolicy):
+    """Equal-split policy with fixed per-layer work."""
 
-    name = "fixed-share"
-    dynamic_rates = False
+    name = "fixed-work"
 
-    def __init__(self, share: float, dram: float = 1000.0):
+    def __init__(self, dram: float):
         super().__init__()
-        self.share = share
         self.dram = dram
 
     def begin_layer(self, instance, now):
         return LayerWork(compute_cycles=10.0, dram_bytes=self.dram), 0.0
-
-    def bandwidth_shares(self, running, now):
-        return {iid: self.share for iid in running}
 
 
 class TestRateClampConsistency:
@@ -144,16 +148,20 @@ class TestRateClampConsistency:
     min-dt search while advancing at the raw rate, so a near-zero share
     produced a finite dt with no matching progress — the run crawled
     toward the event cap.  The kernel clamps once, at rate installation,
-    so dt and progress always agree.
+    so dt and progress always agree.  A near-zero DRAM bandwidth drives
+    the rate below the clamp.
     """
 
-    def test_near_zero_share_completes_consistently(self):
+    @pytest.mark.parametrize("use_native", [None, False])
+    def test_near_zero_rate_completes_consistently(self, use_native):
         spec = WorkloadSpec(model_keys=["MB."], inferences_per_stream=1,
                             warmup_inferences=0)
+        soc = SoCConfig(dram=DRAMConfig(total_bandwidth_bytes_per_s=1e-30))
         engine = MultiTenantEngine(
-            SoCConfig(),
-            FixedShareScheduler(share=1e-30, dram=1e-3),
+            soc,
+            FixedWork(dram=1e-3),
             ClosedLoopWorkload(spec),
+            use_native=use_native,
         )
         result = engine.run()
         # One event per layer (plus bounded residual events): progress
@@ -165,9 +173,8 @@ class TestRateClampConsistency:
                                                   rel=0.01)
 
     def test_normal_shares_unaffected_by_clamp(self):
-        """The clamp floor is unreachable for real policies: the kernel
-        backends agree bit-for-bit, and the frozen reference pins the
-        absolute values."""
+        """The clamp floor is unreachable for real policies: the frozen
+        reference pins the absolute values."""
         result = _run("baseline", keys=("MB.",), inferences=1)
         assert result.metrics.num_inferences == 1
 
@@ -202,16 +209,14 @@ class TestRuntimeObservability:
 
 class TestFastForward:
     def test_static_policy_uses_fast_forward(self):
-        """A static-rate policy with no waiters must produce the same
-        metrics whether or not the fast-forward loop is taken; the
+        """An equal-split policy with no waiters must produce the same
+        metrics whichever step path drains its cached rates; the
         reference suite covers absolute values, this covers the
         fast-forward bookkeeping (dispatch of successor inferences) by
-        cross-checking the two kernel backends, which enter the
-        fast-forward with different batch widths."""
-        pytest.importorskip("numpy")
+        cross-checking the native static step against the Python one."""
         result = _run("baseline", keys=("MB.", "MB."), inferences=3)
-        forced_numpy = _run("baseline", backend="numpy",
-                            keys=("MB.", "MB."), inferences=3)
+        python = _run("baseline", use_native=False, keys=("MB.", "MB."),
+                      inferences=3)
         assert result.metrics.num_inferences == 6
-        assert _metrics_json(result) == _metrics_json(forced_numpy)
-        assert result.events_processed == forced_numpy.events_processed
+        assert _metrics_json(result) == _metrics_json(python)
+        assert result.events_processed == python.events_processed

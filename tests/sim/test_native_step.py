@@ -1,13 +1,13 @@
 """Native fused-step equivalence and loader behaviour.
 
-The batch loop's three step implementations — native C fused step,
-pure-Python fused step (:meth:`RunningKernel.fused_step_demand` /
-:meth:`RunningKernel.fused_step_slack`) and the classic split
-``_recompute_rates`` + ``kernel.step`` pair — must be bit-identical
-across every rate-kernel mode (demand-proportional, slack-weighted,
-slack-throttled); the committed reference suite pins the default path
-and these tests pin the cross-path agreement, including MoCA's mid-run
-rate epoch transitions, QoS tenant churn and fuzzed fault schedules.
+The batch loop's two step paths — the native C fused step and the
+Python pair of the policy's share rule (:func:`repro.memory.bwalloc.
+shares`, rates installed as ``_recompute_rates`` does) and
+:meth:`RunningKernel.step` — must be bit-identical across every rate
+spec (demand-proportional, slack-weighted, slack-throttled); the
+committed reference suite pins the default path and these tests pin the
+cross-path agreement, including MoCA's mid-run rate epoch transitions,
+QoS tenant churn and fuzzed fault schedules.
 """
 
 import json
@@ -25,6 +25,7 @@ from fuzz_scenarios import (
     scenario_specs,
 )
 from repro.config import SoCConfig
+from repro.memory import bwalloc
 from repro.schedulers import make_scheduler
 from repro.sim import native
 from repro.sim.engine import MultiTenantEngine
@@ -58,7 +59,18 @@ def _metrics_json(result) -> str:
     return json.dumps(result.metric_summary(), sort_keys=True)
 
 
-def _run(policy_name, *, use_native=None, backend=None,
+def _python_step(kernel, spec, wait_dt, freq, bw, eff, now=0.0):
+    """One Python-path event: the spec's shares, the engine's clamped
+    rate install, then the kernel step."""
+    shares = bwalloc.shares(spec, kernel, freq, now)
+    kernel.set_rates(
+        [freq] * len(shares),
+        [r if (r := bw * s * eff) > 1e-6 else 1e-6 for s in shares],
+    )
+    return kernel.step(wait_dt)
+
+
+def _run(policy_name, *, use_native=None,
          keys=("RS.", "MB.", "EF.", "BE."), qos_scale=float("inf"),
          inferences=2):
     spec = WorkloadSpec(
@@ -71,7 +83,6 @@ def _run(policy_name, *, use_native=None, backend=None,
         SoCConfig(),
         make_scheduler(policy_name),
         ClosedLoopWorkload(spec),
-        kernel_backend=backend,
         use_native=use_native,
     )
     return engine.run()
@@ -141,11 +152,11 @@ class TestLoader:
 
 @needs_native
 class TestFusedStepBitIdentity:
-    """The C step against its documented pure-Python twin."""
+    """The C demand-proportional step against the Python rule + step."""
 
     def _kernel_with(self, rem_c, rem_d):
-        kernel = RunningKernel(force_backend="list")
-        # Install the fluid state directly: fused_step_demand only reads
+        kernel = RunningKernel()
+        # Install the fluid state directly: the demand rule only reads
         # the rem arrays (compute rate == freq by contract).
         kernel.rem_c = list(rem_c)
         kernel.rem_d = list(rem_d)
@@ -169,13 +180,10 @@ class TestFusedStepBitIdentity:
             res_c = NATIVE(c_rem_c, c_rem_d, [], [], wait_dt, 1,
                            freq, bw, eff, floor)
             kernel = self._kernel_with(rem_c, rem_d)
-            res_py = kernel.fused_step_demand(wait_dt, freq, bw, eff,
-                                              floor)
-            if res_c is None:
-                assert res_py is None
-                continue
+            dt_py, fin_py = _python_step(kernel, ("demand_prop", floor),
+                                         wait_dt, freq, bw, eff)
+            assert res_c is not None
             dt_c, fin_c = res_c
-            dt_py, fin_py = res_py
             assert repr(dt_c) == repr(dt_py)
             assert (fin_c or None) == (fin_py or None)
             assert [x.hex() for x in c_rem_c] == \
@@ -196,7 +204,7 @@ class TestFusedStepBitIdentity:
             c_rem_c, c_rem_d = list(rem_c), list(rem_d)
             res_c = NATIVE(c_rem_c, c_rem_d, rate_c, rate_d, wait_dt,
                            0, 1e9, 102.4e9, 1.0, 0.0)
-            kernel = RunningKernel(force_backend="list")
+            kernel = RunningKernel()
             kernel.rem_c = list(rem_c)
             kernel.rem_d = list(rem_d)
             kernel.rate_c = list(rate_c)
@@ -219,7 +227,7 @@ class TestFusedStepBitIdentity:
 
 @needs_native
 class TestFusedSlackBitIdentity:
-    """The C slack modes against :meth:`RunningKernel.fused_step_slack`.
+    """The C slack modes against the Python rule + step.
 
     Modes 2 (slack-weighted, AuRORA/CaMDN-QoS) and 3 (slack-throttled,
     MoCA with finite deadlines) over randomized fluid state and slack
@@ -228,10 +236,10 @@ class TestFusedSlackBitIdentity:
     in-place remaining-work updates.
     """
 
-    MODES = ((2, False), (3, True))
+    MODES = (2, 3)
 
     def _kernel_with(self, rem_c, rem_d, arrival, qos, est, progress):
-        kernel = RunningKernel(force_backend="list")
+        kernel = RunningKernel()
         kernel.rem_c = list(rem_c)
         kernel.rem_d = list(rem_d)
         kernel.sl_arrival = list(arrival)
@@ -241,9 +249,9 @@ class TestFusedSlackBitIdentity:
         kernel.insts = [None] * len(rem_c)
         return kernel
 
-    @pytest.mark.parametrize("mode,throttled", MODES)
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(5))
-    def test_randomized_state_agrees(self, mode, throttled, seed):
+    def test_randomized_state_agrees(self, mode, seed):
         rng = random.Random(1000 * mode + seed)
         for _ in range(200):
             n = rng.choice((0, 1, 2, 3, 8, 24, 100))
@@ -273,14 +281,12 @@ class TestFusedSlackBitIdentity:
                            urgency)
             kernel = self._kernel_with(rem_c, rem_d, arrival, qos, est,
                                        progress)
-            res_py = kernel.fused_step_slack(wait_dt, freq, bw, eff,
-                                             floor, urgency, now,
-                                             throttled)
-            if res_c is None:
-                assert res_py is None
-                continue
+            spec = ("slack_weighted", urgency, floor) if mode == 2 \
+                else ("slack_throttled", floor)
+            dt_py, fin_py = _python_step(kernel, spec, wait_dt, freq, bw,
+                                         eff, now)
+            assert res_c is not None
             dt_c, fin_c = res_c
-            dt_py, fin_py = res_py
             assert repr(dt_c) == repr(dt_py)
             assert (fin_c or None) == (fin_py or None)
             assert [x.hex() for x in c_rem_c] == \
@@ -308,24 +314,14 @@ class TestFusedSlackBitIdentity:
 
 
 class TestEngineCrossPathIdentity:
-    """Engine runs must agree across native / python-fused / split."""
+    """Engine runs must agree across the native and Python paths."""
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_native_vs_python_fused(self, policy):
+    def test_native_vs_python(self, policy):
         with_native = _run(policy, use_native=None)
         without = _run(policy, use_native=False)
         assert _metrics_json(with_native) == _metrics_json(without)
         assert with_native.events_processed == without.events_processed
-
-    @pytest.mark.parametrize("policy", ("camdn-full", "moca"))
-    def test_python_fused_vs_split(self, policy):
-        # A pinned kernel backend disables the fused path entirely, so
-        # this compares the python fused step to the classic
-        # _recompute_rates + kernel.step pair.
-        fused = _run(policy, use_native=False)
-        split = _run(policy, backend="list")
-        assert _metrics_json(fused) == _metrics_json(split)
-        assert fused.events_processed == split.events_processed
 
     @pytest.mark.parametrize(
         "policy", ("moca", "camdn-full", "aurora", "camdn-qos"))
@@ -338,21 +334,11 @@ class TestEngineCrossPathIdentity:
         without = _run(policy, use_native=False, qos_scale=1.0)
         assert _metrics_json(with_native) == _metrics_json(without)
 
-    @pytest.mark.parametrize("policy", ("moca", "aurora", "camdn-qos"))
-    def test_qos_python_fused_vs_split(self, policy):
-        # The pure-Python slack twin (fused_step_slack) against the
-        # classic split pair under finite deadlines: pins the twin's
-        # IEEE-754 transcription independently of the C path.
-        fused = _run(policy, use_native=False, qos_scale=1.0)
-        split = _run(policy, backend="list", qos_scale=1.0)
-        assert _metrics_json(fused) == _metrics_json(split)
-        assert fused.events_processed == split.events_processed
-
     @pytest.mark.parametrize("policy", ("aurora", "camdn-qos"))
     def test_slack_tenant_join_leave(self, policy):
         # QoS tenants joining and leaving mid-run resize the kernel's
-        # slack SoA arrays inside active fused batches; all three step
-        # implementations must stay in lockstep across the churn.
+        # slack SoA arrays inside active fused batches; both step paths
+        # must stay in lockstep across the churn.
         spec = ScenarioSpec(
             streams=(
                 StreamSpec(model="RS.", qos_scale=1.0, inferences=3,
@@ -366,25 +352,22 @@ class TestEngineCrossPathIdentity:
             ),
         )
 
-        def run(use_native=None, backend=None):
+        def run(use_native=None):
             engine = MultiTenantEngine(
                 SoCConfig(), make_scheduler(policy),
-                ScenarioWorkload(spec),
-                kernel_backend=backend, use_native=use_native,
+                ScenarioWorkload(spec), use_native=use_native,
             )
             return engine.run()
 
         with_native = run()
         without = run(use_native=False)
-        split = run(backend="list")
         assert _metrics_json(with_native) == _metrics_json(without)
-        assert _metrics_json(without) == _metrics_json(split)
-        assert with_native.events_processed == split.events_processed
+        assert with_native.events_processed == without.events_processed
 
     def test_moca_mid_run_epoch_transition(self):
         # One deadline-carrying stream finishes early, flipping MoCA's
         # rule back to plain demand-proportional mid-run: the fused
-        # batch must resume exactly where the split path would.
+        # batch must resume exactly where the Python path would.
         spec = ScenarioSpec(
             streams=(
                 StreamSpec(model="RS.", qos_scale=1.0, inferences=1,
@@ -416,48 +399,33 @@ class TestEngineCrossPathIdentity:
 class TestFuzzedCrossPathIdentity:
     """Cross-path agreement on fuzzed scenarios.
 
-    The curated cases above pin known-tricky transitions; these drive
-    the same three step implementations over arbitrary generated specs —
-    tenant churn, every arrival kind, and open-loop backlogs that drain
-    past the window.  Budget scales with ``REPRO_FUZZ_EXAMPLES``
-    (strategies live in :mod:`fuzz_scenarios`).
+    The curated cases above pin known-tricky transitions; this drives
+    both step paths over open-loop backlogs that drain past the window
+    (``test_scenario_fuzz`` covers arbitrary specs).  Budget scales with
+    ``REPRO_FUZZ_EXAMPLES`` (strategies live in :mod:`fuzz_scenarios`).
     """
 
-    def _run_spec(self, spec, policy, *, use_native=None, backend=None):
+    def _run_spec(self, spec, policy, *, use_native=None):
         engine = MultiTenantEngine(
             SoCConfig(),
             make_scheduler(policy),
             ScenarioWorkload(spec),
-            kernel_backend=backend,
             use_native=use_native,
         )
         return engine.run()
 
     @_fuzz_settings
-    @given(spec=scenario_specs())
-    @pytest.mark.parametrize("policy", ("camdn-full", "moca",
-                                        "camdn-qos"))
-    def test_fuzzed_python_fused_vs_split(self, spec, policy):
-        fused = self._run_spec(spec, policy, use_native=False)
-        split = self._run_spec(spec, policy, backend="list")
-        assert fused.events_processed == split.events_processed
-        if fused.metrics.records:
-            assert _metrics_json(fused) == _metrics_json(split), \
-                dump_falsifying_spec(spec, policy, "fused-vs-split")
-        else:
-            assert not split.metrics.records
-
-    @_fuzz_settings
     @given(spec=count_mode_scenario_specs())
     @pytest.mark.parametrize("policy", ("camdn-full", "aurora"))
-    def test_fuzzed_backlog_drain_native_vs_split(self, spec, policy):
+    def test_fuzzed_backlog_drain_native_vs_python(self, spec, policy):
         # Count-mode quotas force open-loop backlogs to drain fully
-        # across whichever step implementation is active.
+        # across whichever step path is active.
         with_native = self._run_spec(spec, policy, use_native=None)
-        split = self._run_spec(spec, policy, backend="list")
-        assert with_native.offered_inferences == split.offered_inferences
-        assert _metrics_json(with_native) == _metrics_json(split), \
-            dump_falsifying_spec(spec, policy, "backlog-native-vs-split")
+        python = self._run_spec(spec, policy, use_native=False)
+        assert with_native.offered_inferences == \
+            python.offered_inferences
+        assert _metrics_json(with_native) == _metrics_json(python), \
+            dump_falsifying_spec(spec, policy, "backlog-native-vs-python")
 
 
 class TestFaultedSlackCrossPath:
@@ -466,7 +434,7 @@ class TestFaultedSlackCrossPath:
     Fault actions (DRAM throttles, core outages, tenant stalls) cut
     fused batches at arbitrary instants and change the efficiency /
     capacity inputs between them; the slack-weighted native path must
-    resume each batch exactly where the pure-Python twin would.
+    resume each batch exactly where the Python path would.
     Fuzzed specs mix finite and infinite deadlines, so the same run
     crosses trivial (slack == 1.0) and active slack regimes.
     """
@@ -474,7 +442,7 @@ class TestFaultedSlackCrossPath:
     @_fuzz_settings
     @given(spec=scenario_specs(), faults=fault_specs())
     @pytest.mark.parametrize("policy", ("aurora", "camdn-qos"))
-    def test_faulted_native_vs_python_fused(self, spec, faults, policy):
+    def test_faulted_native_vs_python(self, spec, faults, policy):
         def run(use_native):
             engine = MultiTenantEngine(
                 SoCConfig(), make_scheduler(policy),

@@ -145,8 +145,8 @@ class TestSnapshotSlackKernels:
 
     @pytest.mark.parametrize("policy", ("aurora", "camdn-qos"))
     def test_resume_without_native_stays_identical(self, policy):
-        """A slack-mode snapshot resumed onto the pure-Python twin
-        (native disabled) completes byte-identically to the clean
+        """A slack-mode snapshot resumed onto the Python path (native
+        disabled) completes byte-identically to the clean
         native run."""
         spec = _qos_spec()
         clean = run_scenario(spec, policy=policy)
@@ -172,16 +172,15 @@ class TestEngineSnapshotAPI:
         assert _summary(engine.resume_run()) == _summary(clean)
 
     def test_resume_forces_python_kernel_identically(self):
-        """Backend selection at resume time never changes results (the
-        backends are bit-identical by contract)."""
+        """Step-path selection at resume time never changes results (the
+        native and Python paths are bit-identical by contract)."""
         spec = get_scenario("steady-quad").scaled(GRID_SCALE)
         clean = run_scenario(spec, policy="baseline")
         snapped = run_scenario(
             spec, policy="baseline",
             snapshot_at_events=clean.events_processed // 2,
         )
-        engine = snapped.last_snapshot.resume(use_native=False,
-                                              kernel_backend="list")
+        engine = snapped.last_snapshot.resume(use_native=False)
         assert _summary(engine.resume_run()) == _summary(clean)
 
 
@@ -211,9 +210,12 @@ class TestSnapshotEnvelope:
         # No stray temp files left behind by the atomic write.
         assert list(path.parent.iterdir()) == [path]
 
-    def test_unknown_schema_version_rejected(self):
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_unknown_schema_version_rejected(self, delta):
+        """Past versions (whose payloads no longer unpickle into this
+        code's state) and future ones are both rejected up front."""
         data = json.loads(self._snapshot().to_json())
-        data["snapshot_schema_version"] = SNAPSHOT_SCHEMA_VERSION + 1
+        data["snapshot_schema_version"] = SNAPSHOT_SCHEMA_VERSION + delta
         with pytest.raises(SnapshotError, match="schema"):
             EngineSnapshot.from_json(json.dumps(data))
 

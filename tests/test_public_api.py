@@ -15,6 +15,22 @@ class TestPackageSurface:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_import_leaves_numpy_out(self):
+        """The simulator is pure Python plus an optional C stepper;
+        importing the package must not pull numpy in."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(repro.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = "import sys, repro; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "False"
+
     def test_error_hierarchy(self):
         from repro.errors import (
             CacheAddressError,

@@ -45,8 +45,9 @@ from repro.schedulers import make_scheduler
 from repro.schedulers.base import SchedulerPolicy
 from repro.sim import native
 from repro.sim.engine import MultiTenantEngine
+from repro.sim.scenario import ScenarioSpec
 from repro.sim.task import LayerWork
-from repro.sim.workload import ClosedLoopWorkload, WorkloadSpec
+from repro.sim.workload import ScenarioWorkload
 
 #: Streams in the synthetic workload (all NPU cores half busy).
 NUM_STREAMS = 8
@@ -135,20 +136,16 @@ class DynamicSynthetic(StaticSynthetic):
 
 
 def _build_workload(graph: Optional[ModelGraph],
-                    qos_scale: float = float("inf")) -> ClosedLoopWorkload:
+                    qos_scale: float = float("inf")) -> ScenarioWorkload:
     if graph is None:
-        spec = WorkloadSpec(model_keys=list(REAL_KEYS),
-                            duration_s=REAL_DURATION_S, warmup_s=0.0,
-                            qos_scale=qos_scale)
-        return ClosedLoopWorkload(spec)
+        return ScenarioWorkload(ScenarioSpec.closed_loop(
+            REAL_KEYS, duration_s=REAL_DURATION_S, qos_scale=qos_scale
+        ))
     # Build over a zoo placeholder key, then swap in the synthetic graph
     # (the spec validates keys against the zoo at construction).
-    spec = WorkloadSpec(
-        model_keys=["MB."] * NUM_STREAMS,
-        inferences_per_stream=SYNTH_INFERENCES,
-        warmup_inferences=0,
-    )
-    workload = ClosedLoopWorkload(spec)
+    workload = ScenarioWorkload(ScenarioSpec.closed_loop(
+        ["MB."] * NUM_STREAMS, inferences=SYNTH_INFERENCES
+    ))
     for stream_id in workload.streams:
         workload._graphs[stream_id] = graph
         workload._rt[stream_id].graph = graph

@@ -15,13 +15,7 @@ Usage::
 
 from __future__ import annotations
 
-from repro import (
-    ArrivalProcess,
-    ScenarioSpec,
-    StreamSpec,
-    run,
-    simulate_scenario,
-)
+from repro import ArrivalProcess, ScenarioSpec, StreamSpec, run
 from repro.schedulers.camdn_full import CaMDNFullScheduler
 
 POLICIES = ("baseline", "moca", "aurora", "camdn-hw", "camdn-full")
@@ -100,7 +94,7 @@ def main() -> None:
     for policy in POLICIES:
         result = (
             probed if policy == "camdn-full"
-            else simulate_scenario(policy, SCENARIO)
+            else run(SCENARIO, policy=policy)
         )
         summary = result.summary()
         print(

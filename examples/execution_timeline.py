@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro import SoCConfig
+from repro import ScenarioSpec, SoCConfig
 from repro.schedulers import make_scheduler
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.trace import TraceRecorder
-from repro.sim.workload import ClosedLoopWorkload, WorkloadSpec
+from repro.sim.workload import ScenarioWorkload
 
 TENANTS = ["RS.", "MB.", "EF.", "BE."] * 2
 
@@ -33,12 +33,10 @@ def main() -> None:
     args = parser.parse_args()
 
     trace = TraceRecorder()
-    spec = WorkloadSpec(
-        model_keys=TENANTS, inferences_per_stream=2, warmup_inferences=0
-    )
+    spec = ScenarioSpec.closed_loop(TENANTS, inferences=2)
     engine = MultiTenantEngine(
         SoCConfig(), make_scheduler(args.policy),
-        ClosedLoopWorkload(spec), trace=trace,
+        ScenarioWorkload(spec), trace=trace,
     )
     result = engine.run()
 

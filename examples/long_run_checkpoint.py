@@ -9,7 +9,7 @@ crowds) under camdn-full three ways:
    serialize it through its versioned, content-hashed JSON envelope,
    "crash", reload in a fresh engine and resume to completion.  The
    resumed ``metric_summary()`` is byte-identical to the reference.
-3. **Rolling on-disk checkpoints** — ``run(checkpoint_every_s=...)``
+3. **Rolling on-disk checkpoints** — ``RunConfig(checkpoint_every_s=...)``
    writes an atomically-replaced ``checkpoint.json`` at batch
    boundaries; the last one on disk resumes byte-identically too, which
    is exactly what a SIGKILLed long campaign does on restart.

@@ -60,7 +60,6 @@ from .runconfig import RunConfig
 from .schedulers import make_scheduler
 from .sim import (
     ArrivalProcess,
-    ClosedLoopWorkload,
     EngineSnapshot,
     EventTrace,
     EventTraceRecorder,
@@ -71,7 +70,6 @@ from .sim import (
     ScenarioWorkload,
     SimulationResult,
     StreamSpec,
-    WorkloadSpec,
     fault_schedule_names,
     get_fault_schedule,
     get_scenario,
@@ -96,8 +94,6 @@ __all__ = [
     "build_model",
     "load_benchmark_suite",
     "make_scheduler",
-    "WorkloadSpec",
-    "ClosedLoopWorkload",
     "ArrivalProcess",
     "StreamSpec",
     "ScenarioSpec",
@@ -112,7 +108,6 @@ __all__ = [
     "get_scenario",
     "register_scenario",
     "scenario_names",
-    "simulate_scenario",
     "MultiTenantEngine",
     "SimulationResult",
     "EngineSnapshot",
@@ -171,43 +166,17 @@ def simulate(
     # experiments package imports this module for __version__).
     from .experiments.common import run_scenario
 
-    spec = WorkloadSpec(
-        model_keys=list(model_keys),
-        inferences_per_stream=inferences_per_stream,
-        warmup_inferences=1 if duration_s is None else 0,
-        qos_scale=qos_scale,
+    spec = ScenarioSpec.closed_loop(
+        model_keys,
         duration_s=duration_s,
         warmup_s=warmup_s,
-    ).to_scenario()
+        inferences=inferences_per_stream,
+        warmup_inferences=1,
+        qos_scale=qos_scale,
+    )
     return run_scenario(
         spec, soc, make_scheduler(policy, **policy_kwargs)
     )
-
-
-def simulate_scenario(
-    policy: str,
-    scenario: "ScenarioSpec | str",
-    soc: Optional[SoCConfig] = None,
-    **policy_kwargs,
-) -> SimulationResult:
-    """Run one declarative scenario end to end.
-
-    Args:
-        policy: scheduler name (see :func:`simulate`).
-        scenario: a :class:`ScenarioSpec` or a registered scenario name
-            (see :func:`scenario_names`).
-        soc: hardware configuration (defaults to paper Table II).
-        **policy_kwargs: forwarded to the scheduler constructor.
-
-    Returns:
-        The :class:`~repro.sim.engine.SimulationResult` with metrics,
-        including the scenario-level ``summary()`` keys
-        (``avg_queue_delay_ms``, ``offered_load_ratio``,
-        ``cancelled_inferences``).
-    """
-    from .experiments.common import run_scenario
-
-    return run_scenario(scenario, soc, policy, **policy_kwargs)
 
 
 def run(

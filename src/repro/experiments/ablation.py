@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 from ..config import CacheConfig, SoCConfig
 from ..models.zoo import BENCHMARK_MODELS, build_model
 from ..schedulers.camdn_full import CaMDNFullScheduler
-from ..sim.workload import WorkloadSpec
+from ..sim.scenario import ScenarioSpec
 from .common import ExperimentScale, run_scenario
 
 #: 16-tenant workload used by all ablations.
@@ -47,11 +47,9 @@ def _run_camdn(soc: SoCConfig, scale: ExperimentScale,
                scheduler: CaMDNFullScheduler | None = None,
                model_keys: Sequence[str] = _WORKLOAD) -> Tuple[float, float,
                                                                int]:
-    spec = WorkloadSpec(
-        model_keys=list(model_keys),
-        duration_s=scale.duration_s,
-        warmup_s=scale.warmup_s,
-    ).to_scenario()
+    spec = ScenarioSpec.closed_loop(
+        model_keys, duration_s=scale.duration_s, warmup_s=scale.warmup_s
+    )
     result = run_scenario(spec, soc, scheduler or CaMDNFullScheduler())
     return (
         result.metrics.macro_avg_latency_s() * 1e3,

@@ -11,21 +11,20 @@ bundle, builds the scheduler and drives the engine over a declarative
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Union
 
 from ..config import SoCConfig
 from ..core.prepared import prepare_workload
 from ..errors import WorkloadError
-from ..runconfig import RUN_CONFIG_KEYS, RunConfig
+from ..runconfig import RunConfig
 from ..schedulers import make_scheduler
 from ..schedulers.base import SchedulerPolicy
 from ..sim.engine import MultiTenantEngine, SimulationResult
 from ..sim.faults import get_fault_schedule
 from ..sim.scenario import ScenarioSpec, get_scenario
 from ..sim.trace import EventTraceRecorder
-from ..sim.workload import ScenarioWorkload, WorkloadSpec
+from ..sim.workload import ScenarioWorkload
 
 
 @dataclass(frozen=True)
@@ -70,26 +69,6 @@ class ExperimentScale:
         return self.base_warmup_s * self.scale
 
 
-def _lower_legacy_kwargs(kwargs: dict) -> Optional[RunConfig]:
-    """The deprecation shim: pop the old ``run_scenario`` run-control
-    keywords out of ``kwargs`` (leaving only policy kwargs) and lower
-    them into a :class:`~repro.runconfig.RunConfig`.
-
-    Returns ``None`` when no legacy keyword was passed.
-    """
-    legacy = {k: kwargs.pop(k) for k in RUN_CONFIG_KEYS & kwargs.keys()}
-    if not legacy:
-        return None
-    warnings.warn(
-        f"passing {sorted(legacy)} to run_scenario() as keyword "
-        f"arguments is deprecated; pass "
-        f"config=RunConfig({', '.join(sorted(legacy))}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return RunConfig(**legacy)
-
-
 def run_scenario(
     spec: Union[ScenarioSpec, str],
     soc: Optional[SoCConfig] = None,
@@ -114,22 +93,9 @@ def run_scenario(
         **policy_kwargs: forwarded to the scheduler constructor when
             ``policy`` is a name.
 
-    The pre-``RunConfig`` keyword signature (``qos_mode=``, ``faults=``,
-    ``capture_trace=``, ``max_wall_s=``, ...) keeps working through a
-    shim that lowers the keywords into a :class:`RunConfig` and emits a
-    :class:`DeprecationWarning`; both forms are byte-identical.
-
     Returns:
         The :class:`~repro.sim.engine.SimulationResult` with metrics.
     """
-    legacy = _lower_legacy_kwargs(policy_kwargs)
-    if legacy is not None:
-        if config is not None:
-            raise ValueError(
-                "pass config=RunConfig(...) or the deprecated "
-                "run-control keywords, not both"
-            )
-        config = legacy
     if config is None:
         config = RunConfig()
     if isinstance(spec, str):
@@ -177,38 +143,16 @@ def run_scenario(
     return result
 
 
-def run_policy(
-    soc: SoCConfig,
-    policy_name: str,
-    model_keys: Sequence[str],
-    scale: ExperimentScale,
-    qos_scale: float = float("inf"),
-    qos_mode: bool = False,
-) -> SimulationResult:
-    """Simulate one (policy, closed-loop workload) cell.
-
-    Compatibility wrapper: lowers the legacy steady-state
-    :class:`~repro.sim.workload.WorkloadSpec` shape to its scenario and
-    routes through :func:`run_scenario`.
-    """
-    spec = WorkloadSpec(
-        model_keys=list(model_keys),
-        duration_s=scale.duration_s,
-        warmup_s=scale.warmup_s,
-        qos_scale=qos_scale,
-    ).to_scenario()
-    return run_scenario(spec, soc, policy_name,
-                        config=RunConfig(qos_mode=qos_mode))
-
-
 @functools.lru_cache(maxsize=None)
 def _isolated_latency(model_key: str, cache_bytes: int,
                       policy_name: str) -> float:
     """Single-tenant latency of one model (memoized)."""
     soc = SoCConfig().with_cache_bytes(cache_bytes)
-    result = run_policy(
-        soc, policy_name, (model_key,), ExperimentScale(scale=0.5)
+    scale = ExperimentScale(scale=0.5)
+    spec = ScenarioSpec.closed_loop(
+        (model_key,), duration_s=scale.duration_s, warmup_s=scale.warmup_s
     )
+    result = run_scenario(spec, soc, policy_name)
     return result.metrics.macro_avg_latency_s()
 
 

@@ -26,7 +26,8 @@ from ..memory.dram import MainMemory
 from ..models.zoo import BENCHMARK_MODELS
 from ..schedulers.camdn_full import CaMDNFullScheduler
 from ..sim.engine import MultiTenantEngine
-from ..sim.workload import ClosedLoopWorkload, WorkloadSpec
+from ..sim.scenario import ScenarioSpec
+from ..sim.workload import ScenarioWorkload
 from .common import ExperimentScale
 
 
@@ -127,13 +128,13 @@ def run_cpu_corun_study(
             dram=base.dram,
             dtype_bytes=base.dtype_bytes,
         )
-        spec = WorkloadSpec(
-            model_keys=list(BENCHMARK_MODELS) * 2,
+        spec = ScenarioSpec.closed_loop(
+            list(BENCHMARK_MODELS) * 2,
             duration_s=experiment_scale.duration_s,
             warmup_s=experiment_scale.warmup_s,
         )
         result = MultiTenantEngine(
-            soc, CaMDNFullScheduler(), ClosedLoopWorkload(spec)
+            soc, CaMDNFullScheduler(), ScenarioWorkload(spec)
         ).run()
 
         cache = SlicedSharedCache(soc.cache, MainMemory())

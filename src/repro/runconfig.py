@@ -1,20 +1,15 @@
 """The consolidated per-run configuration of the public API.
 
-:func:`repro.experiments.common.run_scenario` grew one keyword at a
-time — QoS integration, trace capture, fault injection, watchdog
-budgets, rolling checkpoints, snapshot hooks — until every new axis
-widened a 12-keyword signature at every call site.  :class:`RunConfig` consolidates all of them into one frozen,
-reusable value object::
+Every run-control axis of
+:func:`repro.experiments.common.run_scenario` — QoS integration, trace
+capture, fault injection, watchdog budgets, rolling checkpoints,
+snapshot hooks — lives on one frozen, reusable :class:`RunConfig`
+passed as ``config=``; it is the only way to set them::
 
     from repro import RunConfig, run
 
     config = RunConfig(faults="degraded-soc", max_wall_s=120.0)
     result = run("poisson-eight", policy="camdn-full", config=config)
-
-The old keywords keep working through a thin shim in ``run_scenario``
-that lowers them into a :class:`RunConfig` and emits a
-:class:`DeprecationWarning`; both forms produce byte-identical
-``metric_summary()`` dictionaries.
 
 This module is a leaf (it imports only the error hierarchy), so the
 package root, the experiment layer and the fleet subsystem can all
@@ -28,14 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .errors import WorkloadError
-
-#: The ``run_scenario`` keyword names subsumed by :class:`RunConfig`
-#: (the legacy shim recognises exactly these).
-RUN_CONFIG_KEYS = frozenset((
-    "qos_mode", "trace", "capture_trace", "faults",
-    "max_events", "max_wall_s", "checkpoint_every_s", "checkpoint_dir",
-    "snapshot_at_events",
-))
 
 
 @dataclass(frozen=True)

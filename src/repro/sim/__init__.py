@@ -26,12 +26,7 @@ from .trace import (
     TraceEvent,
     TraceRecorder,
 )
-from .workload import (
-    ClosedLoopWorkload,
-    ScenarioWorkload,
-    WorkloadSpec,
-    random_model_mix,
-)
+from .workload import ScenarioWorkload, random_model_mix
 from .snapshot import SNAPSHOT_SCHEMA_VERSION, EngineSnapshot
 from .metrics import InstanceRecord, MetricsCollector, ModelSummary
 from .qos import QoSReport, fairness, sla_rate, system_throughput
@@ -60,9 +55,7 @@ __all__ = [
     "EventTraceRecorder",
     "TraceEvent",
     "TraceRecorder",
-    "ClosedLoopWorkload",
     "ScenarioWorkload",
-    "WorkloadSpec",
     "random_model_mix",
     "SNAPSHOT_SCHEMA_VERSION",
     "EngineSnapshot",

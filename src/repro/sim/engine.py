@@ -51,12 +51,12 @@ returned, and the scheduler's per-task end hook releases its cache pages
 and region (so CaMDN's region resizing is exercised by churn) before
 :meth:`~repro.schedulers.base.SchedulerPolicy.on_tenant_retire` fires.
 
-This substrate replaces the paper's in-house cycle-accurate simulator on
-DRAMsim3; see DESIGN.md for the substitution argument.  The pre-kernel
-per-instance scan loop that shipped one release behind (``legacy_loop``)
-has been removed; kernel-loop equivalence is pinned by the committed
-20-scenario reference summaries (``tests/data/
-metric_summary_reference.json``).
+This substrate stands in for the paper's in-house cycle-accurate
+simulator on DRAMsim3: it keeps the quantities CaMDN's results depend on
+(per-layer compute cycles, DRAM bytes after cache hits, shared-bandwidth
+contention) and drops cycle-level timing inside a layer.  Its behaviour
+is pinned by the committed 20-scenario reference summaries
+(``tests/data/metric_summary_reference.json``).
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class SimulationResult:
     #: closed-loop scenarios; > 1 when open-loop load outruns service
     #: (queues grow and the drain stretches past the window).
     offered_load_ratio: float = 1.0
-    #: Event capture of the run (``run_scenario(capture_trace=True)``);
+    #: Event capture of the run (``RunConfig(capture_trace=True)``);
     #: excluded from serialization — traces persist via their own format.
     event_trace: Optional["EventTrace"] = field(
         default=None, repr=False, compare=False

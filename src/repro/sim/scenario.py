@@ -734,7 +734,19 @@ class ScenarioSpec:
                     warmup_inferences: int = 0,
                     qos_scale: float = math.inf) -> "ScenarioSpec":
         """The paper's workload shape as a scenario (one closed-loop
-        stream per model key, all present from t=0)."""
+        stream per model key, all present from t=0).
+
+        Two measurement modes:
+
+        * **count mode** (``duration_s is None``) — every stream runs
+          ``warmup_inferences + inferences`` inferences; the warmup
+          ones are excluded from metrics.
+        * **steady-state mode** (``duration_s`` set) — streams keep
+          dispatching until the clock passes ``duration_s`` and the
+          count arguments are ignored.  A fixed per-stream quota would
+          let short models drain early and hand their bandwidth to the
+          stragglers, biasing tail latencies down.
+        """
         if duration_s is not None:
             inferences = None
             warmup_inferences = 0

@@ -1,23 +1,17 @@
-"""Multi-tenant workload generation.
+"""Multi-tenant workload runtime.
 
-Two layers live here:
-
-* :class:`WorkloadSpec` — the original closed-loop workload description,
-  kept as a thin compatibility wrapper.  It lowers to a
-  :class:`~repro.sim.scenario.ScenarioSpec` via :meth:`to_scenario`;
-  the lowered scenario reproduces the pre-scenario engine behaviour
-  byte-for-byte (pinned by the committed 20-scenario reference suite).
-* :class:`ScenarioWorkload` — the runtime that drives any
-  :class:`~repro.sim.scenario.ScenarioSpec` through the engine: it owns
-  the time-ordered timeline of scheduled events (tenant joins, open-loop
-  arrivals, tenant leaves), the per-stream FIFO backlogs that serialize
-  open-loop arrivals behind an in-flight inference, and the measurement-
-  window bookkeeping.
+:class:`ScenarioWorkload` drives any
+:class:`~repro.sim.scenario.ScenarioSpec` through the engine: it owns the
+time-ordered timeline of scheduled events (tenant joins, open-loop
+arrivals, tenant leaves), the per-stream FIFO backlogs that serialize
+open-loop arrivals behind an in-flight inference, and the measurement-
+window bookkeeping.
 
 The paper's experiments "randomly dispatch each model task to one NPU as
-soon as it finishes its current task" — that closed-loop shape is the
-``ArrivalProcess.closed_loop()`` default; open-loop and churn scenarios
-generalize it (see :mod:`repro.sim.scenario`).
+soon as it finishes its current task" — that closed-loop shape is
+:meth:`ScenarioSpec.closed_loop` (the ``ArrivalProcess.closed_loop()``
+default); open-loop and churn scenarios generalize it (see
+:mod:`repro.sim.scenario`).
 """
 
 from __future__ import annotations
@@ -25,9 +19,8 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import WorkloadError
 from ..models.graph import ModelGraph
@@ -45,92 +38,6 @@ _JOIN, _ARRIVAL, _LEAVE = 0, 1, 2
 #: wait-heap epsilon; ``now`` accumulates float error against exact
 #: event timestamps).
 _DUE_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Description of one closed-loop multi-tenant workload.
-
-    Two measurement modes:
-
-    * **count mode** (``duration_s is None``) — every stream runs
-      ``warmup_inferences + inferences_per_stream`` inferences; the warmup
-      ones are excluded from metrics.  Deterministic, used by unit tests.
-    * **steady-state mode** (``duration_s`` set) — streams keep dispatching
-      until the simulated clock passes ``duration_s``; only inferences
-      arriving after ``warmup_s`` *and* finishing before ``duration_s`` are
-      measured.  This keeps all tenants active across the measured window
-      (a fixed per-stream quota would let short models drain early and hand
-      their bandwidth to the stragglers, biasing tail latencies down).
-
-    This class is the legacy façade over the declarative scenario model:
-    :meth:`to_scenario` lowers it to one closed-loop
-    :class:`~repro.sim.scenario.StreamSpec` per model key.
-
-    Attributes:
-        model_keys: one entry per co-located stream (model abbreviations;
-            repeats allowed — 32 tenants cycle through the 8 models).
-        inferences_per_stream: measured inferences per stream (count mode).
-        warmup_inferences: leading inferences excluded (count mode).
-        qos_scale: deadline multiplier (QoS-H/M/L are 0.8 / 1.0 / 1.2).
-        duration_s: steady-state window end (enables steady-state mode).
-        warmup_s: steady-state measurement start.
-    """
-
-    model_keys: Sequence[str]
-    inferences_per_stream: int = 3
-    warmup_inferences: int = 1
-    qos_scale: float = float("inf")
-    duration_s: Optional[float] = None
-    warmup_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.model_keys:
-            raise WorkloadError("workload needs at least one stream")
-        if self.inferences_per_stream <= 0:
-            raise WorkloadError("inferences_per_stream must be positive")
-        if self.warmup_inferences < 0:
-            raise WorkloadError("warmup cannot be negative")
-        if self.duration_s is not None:
-            if self.duration_s <= 0:
-                raise WorkloadError("duration must be positive")
-            if not 0 <= self.warmup_s < self.duration_s:
-                raise WorkloadError("warmup must precede the window end")
-
-    @property
-    def num_streams(self) -> int:
-        return len(self.model_keys)
-
-    @property
-    def total_inferences(self) -> int:
-        return self.num_streams * (
-            self.inferences_per_stream + self.warmup_inferences
-        )
-
-    def to_scenario(self) -> ScenarioSpec:
-        """Lower to the equivalent declarative scenario.
-
-        Steady-state mode drops the per-stream count quota (the window
-        bounds dispatch), exactly like the pre-scenario engine did.
-        """
-        count_mode = self.duration_s is None
-        return ScenarioSpec(
-            streams=tuple(
-                StreamSpec(
-                    model=key,
-                    qos_scale=self.qos_scale,
-                    inferences=(
-                        self.inferences_per_stream if count_mode else None
-                    ),
-                    warmup_inferences=(
-                        self.warmup_inferences if count_mode else 0
-                    ),
-                )
-                for key in self.model_keys
-            ),
-            duration_s=self.duration_s,
-            warmup_s=self.warmup_s,
-        )
 
 
 def random_model_mix(num_streams: int,
@@ -221,7 +128,6 @@ class ScenarioWorkload:
         #: at every mutation (pops, new arrivals, stream finishes).
         self._timeline_next: Optional[float] = None
         self._retired: List[str] = []
-        self._replay_batch: Optional[TimelineBatch] = None
         self._offered = 0
         self._dropped = 0
         self._last_offer_s = 0.0
@@ -270,18 +176,6 @@ class ScenarioWorkload:
         """Time of the latest offered arrival (count-mode offer window)."""
         return self._last_offer_s
 
-    def initial_instances(self) -> List[TaskInstance]:
-        """First inferences due at t=0 (compatibility accessor).
-
-        The popped batch is cached for replay, so an engine run started
-        afterwards still receives these instances — calling this before
-        ``engine.run()`` (the pre-scenario inspection pattern) must not
-        silently empty the simulation.
-        """
-        batch = self.pop_due(0.0)
-        self._replay_batch = batch
-        return batch.instances
-
     def next_timeline_s(self) -> float:
         """Earliest live scheduled event time (``inf`` when exhausted)."""
         t = self._timeline_next
@@ -309,14 +203,6 @@ class ScenarioWorkload:
         admits: List[str] = []
         instances: List[TaskInstance] = []
         leaves: List[str] = []
-        if self._replay_batch is not None:
-            # A prior initial_instances() call already popped the t=0
-            # events; hand its batch to this (engine) pop instead of
-            # dropping it.
-            cached, self._replay_batch = self._replay_batch, None
-            admits.extend(cached.admits)
-            instances.extend(cached.instances)
-            leaves.extend(cached.leaves)
         heap = self._heap
         while heap and heap[0][0] - now <= _DUE_EPS:
             t, prio, index = heappop(heap)
@@ -564,15 +450,3 @@ class ScenarioWorkload:
             qos_target_s=qos_s,
         )
 
-
-class ClosedLoopWorkload(ScenarioWorkload):
-    """Closed-loop stream manager driven by the engine.
-
-    Compatibility façade: lowers a :class:`WorkloadSpec` to its scenario
-    and runs it through :class:`ScenarioWorkload` (behaviour is
-    byte-identical to the pre-scenario implementation).
-    """
-
-    def __init__(self, spec: WorkloadSpec) -> None:
-        super().__init__(spec.to_scenario())
-        self.spec = spec

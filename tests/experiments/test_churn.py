@@ -11,6 +11,7 @@ from repro.experiments.fig_churn import (
     format_churn,
     run_churn,
 )
+from repro.runconfig import RunConfig
 
 pytestmark = pytest.mark.experiment
 
@@ -52,7 +53,7 @@ class TestRunScenarioEntryPoint:
 
         with pytest.raises(ValueError):
             run_scenario("steady-quad", policy=CaMDNFullScheduler(),
-                         qos_mode=True)
+                         config=RunConfig(qos_mode=True))
 
 
 @pytest.mark.slow

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.config import MiB, SoCConfig
+from repro.core.serialize import scenario_spec_to_dict, stable_content_hash
+from repro.experiments import sweep
+from repro.experiments.fig7_speedup import SPEEDUP_WORKLOAD
 from repro.experiments.sweep import (
     SweepCell,
     cell_cache_key,
@@ -13,6 +16,7 @@ from repro.experiments.sweep import (
     last_sweep_stats,
     run_sweep,
 )
+from repro.runconfig import RunConfig
 
 pytestmark = pytest.mark.experiment
 
@@ -97,7 +101,7 @@ class TestCacheKey:
             duration_s=0.05,
         )
         result = run_scenario(source_spec, soc, "baseline",
-                              capture_trace=True)
+                              config=RunConfig(capture_trace=True))
         replay_spec = result.event_trace.replay_scenario()
         source = SweepCell.from_scenario("baseline", source_spec)
         replay = SweepCell.from_scenario("baseline", replay_spec)
@@ -118,6 +122,42 @@ class TestCacheKey:
         )
         assert legacy.resolve_scenario() == explicit.resolve_scenario()
         assert cell_cache_key(legacy, soc) != cell_cache_key(explicit, soc)
+
+
+class TestGoldenKey:
+    """The Fig. 7 cell's identity, pinned to recorded digests.
+
+    Both the sweep cache key and the benchmark's fig7-closed job key hash
+    the cell's resolved closed-loop scenario; a change to how
+    ``model_keys`` cells lower to a :class:`ScenarioSpec` would silently
+    orphan every cached sweep result and re-key the benchmark jobs.
+    """
+
+    CELL = SweepCell(policy="camdn-full", model_keys=SPEEDUP_WORKLOAD,
+                     scale=1.0)
+
+    def test_resolved_scenario_digest(self):
+        digest = stable_content_hash(
+            scenario_spec_to_dict(self.CELL.resolve_scenario())
+        )
+        assert digest == ("dcdc53d9c1e6168378a9cacae95d8c7e"
+                          "9c8f0b406539c24c17183ac42c4b676a")
+
+    def test_cell_cache_key(self, monkeypatch):
+        """The key is also salted with a digest of the package sources,
+        which every source edit changes by design; the salt recorded
+        with the golden key is substituted so that everything else —
+        schema version, ``__version__``, cell fields, resolved scenario
+        and SoC — must hash exactly as recorded."""
+        monkeypatch.setattr(
+            sweep, "source_content_salt",
+            lambda: ("0d0ab069fc4f836df43e58744844ddc7"
+                     "f8f3dbb458c342e215166913acd3cd93"),
+        )
+        assert cell_cache_key(self.CELL, SoCConfig()) == (
+            "b8b281067baf556586459ca61a806456"
+            "226b4dc3e6a4daed17dd4ec233bc641d"
+        )
 
 
 class TestPersistentCache:

@@ -21,8 +21,9 @@ from repro.schedulers import make_scheduler
 from repro.schedulers.base import SchedulerPolicy
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.kernel import RunningKernel
+from repro.sim.scenario import ScenarioSpec
 from repro.sim.task import LayerWork
-from repro.sim.workload import ClosedLoopWorkload, WorkloadSpec
+from repro.sim.workload import ScenarioWorkload
 
 POLICIES = ["baseline", "moca", "aurora", "camdn-hw", "camdn-full"]
 
@@ -37,16 +38,13 @@ REFERENCE_PATH = (
 
 def _run(policy_name, *, use_native=None, keys=KEYS,
          qos_scale=float("inf"), inferences=2):
-    spec = WorkloadSpec(
-        model_keys=list(keys),
-        inferences_per_stream=inferences,
-        warmup_inferences=0,
-        qos_scale=qos_scale,
+    spec = ScenarioSpec.closed_loop(
+        keys, inferences=inferences, qos_scale=qos_scale
     )
     engine = MultiTenantEngine(
         SoCConfig(),
         make_scheduler(policy_name),
-        ClosedLoopWorkload(spec),
+        ScenarioWorkload(spec),
         use_native=use_native,
     )
     return engine.run()
@@ -154,13 +152,12 @@ class TestRateClampConsistency:
 
     @pytest.mark.parametrize("use_native", [None, False])
     def test_near_zero_rate_completes_consistently(self, use_native):
-        spec = WorkloadSpec(model_keys=["MB."], inferences_per_stream=1,
-                            warmup_inferences=0)
+        spec = ScenarioSpec.closed_loop(["MB."], inferences=1)
         soc = SoCConfig(dram=DRAMConfig(total_bandwidth_bytes_per_s=1e-30))
         engine = MultiTenantEngine(
             soc,
             FixedWork(dram=1e-3),
-            ClosedLoopWorkload(spec),
+            ScenarioWorkload(spec),
             use_native=use_native,
         )
         result = engine.run()

@@ -7,6 +7,7 @@ import pytest
 from repro.config import SoCConfig
 from repro.errors import WorkloadError
 from repro.experiments.common import run_scenario
+from repro.runconfig import RunConfig
 from repro.sim.scenario import (
     ArrivalProcess,
     ScenarioSpec,
@@ -37,7 +38,8 @@ _SPEC = ScenarioSpec(
 
 
 def _capture(spec, policy):
-    return run_scenario(spec, SoCConfig(), policy, capture_trace=True)
+    return run_scenario(spec, SoCConfig(), policy,
+                        config=RunConfig(capture_trace=True))
 
 
 class TestTraceEvent:

@@ -20,7 +20,6 @@ from repro.sim.scenario import (
     scenario_names,
     scenario_registry,
 )
-from repro.sim.workload import WorkloadSpec
 
 
 class TestArrivalProcess:
@@ -263,12 +262,11 @@ class TestSpecs:
         assert spec.scaled(1.0) is spec
 
 
-class TestWorkloadSpecLowering:
+class TestClosedLoopShape:
     def test_count_mode_fields(self):
-        spec = WorkloadSpec(model_keys=["RS.", "MB."],
-                            inferences_per_stream=4,
-                            warmup_inferences=2, qos_scale=0.8)
-        scenario = spec.to_scenario()
+        scenario = ScenarioSpec.closed_loop(["RS.", "MB."], inferences=4,
+                                            warmup_inferences=2,
+                                            qos_scale=0.8)
         assert scenario.duration_s is None
         assert scenario.model_keys == ("RS.", "MB.")
         for stream in scenario.streams:
@@ -279,12 +277,13 @@ class TestWorkloadSpecLowering:
             assert stream.join_s == 0.0 and stream.leave_s is None
 
     def test_steady_state_drops_quota(self):
-        spec = WorkloadSpec(model_keys=["RS."], duration_s=0.2,
-                            warmup_s=0.05)
-        scenario = spec.to_scenario()
+        scenario = ScenarioSpec.closed_loop(["RS."], duration_s=0.2,
+                                            warmup_s=0.05,
+                                            warmup_inferences=1)
         assert scenario.duration_s == 0.2
         assert scenario.warmup_s == 0.05
         assert scenario.streams[0].inferences is None
+        assert scenario.streams[0].warmup_inferences == 0
 
 
 class TestSerialization:
@@ -318,7 +317,8 @@ class TestSerialization:
         assert self._roundtrip(spec) == spec
 
     def test_roundtrip_count_mode(self):
-        spec = WorkloadSpec(model_keys=["RS.", "MB."]).to_scenario()
+        spec = ScenarioSpec.closed_loop(["RS.", "MB."],
+                                        warmup_inferences=1)
         assert self._roundtrip(spec) == spec
 
     def test_registry_specs_roundtrip(self):
@@ -328,7 +328,7 @@ class TestSerialization:
 
     def test_schema_version_enforced(self):
         payload = scenario_spec_to_dict(
-            WorkloadSpec(model_keys=["RS."]).to_scenario()
+            ScenarioSpec.closed_loop(["RS."])
         )
         payload["scenario_schema_version"] = 99
         with pytest.raises(WorkloadError):
@@ -361,7 +361,7 @@ class TestSerialization:
         WorkloadError, not a KeyError (regression: from_dict used to
         index a dispatch table directly)."""
         payload = scenario_spec_to_dict(
-            WorkloadSpec(model_keys=["RS."]).to_scenario()
+            ScenarioSpec.closed_loop(["RS."])
         )
         payload["streams"][0]["arrival"]["kind"] = "fractal"
         with pytest.raises(WorkloadError, match="unknown arrival kind"):
@@ -369,7 +369,7 @@ class TestSerialization:
 
     def test_unknown_arrival_field_rejected(self):
         payload = scenario_spec_to_dict(
-            WorkloadSpec(model_keys=["RS."]).to_scenario()
+            ScenarioSpec.closed_loop(["RS."])
         )
         payload["streams"][0]["arrival"]["jitter_s"] = 0.1
         with pytest.raises(WorkloadError):
@@ -377,7 +377,7 @@ class TestSerialization:
 
     def test_missing_arrival_rejected(self):
         payload = scenario_spec_to_dict(
-            WorkloadSpec(model_keys=["RS."]).to_scenario()
+            ScenarioSpec.closed_loop(["RS."])
         )
         del payload["streams"][0]["arrival"]
         with pytest.raises(WorkloadError):

@@ -24,6 +24,7 @@ import pytest
 from repro.config import SoCConfig
 from repro.errors import SnapshotError
 from repro.experiments.common import run_scenario
+from repro.runconfig import RunConfig
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.faults import get_fault_schedule
 from repro.sim.scenario import (
@@ -53,10 +54,12 @@ def _round_trip(spec, policy, faults=None):
     """Run clean; re-run snapshotting at the midpoint; serialize the
     snapshot through its JSON envelope; resume; compare summaries."""
     soc = SoCConfig()
-    clean = run_scenario(spec, soc, policy, faults=faults)
+    clean = run_scenario(spec, soc, policy, config=RunConfig(faults=faults))
     half = clean.events_processed // 2
-    snapped = run_scenario(spec, soc, policy, faults=faults,
-                           snapshot_at_events=half)
+    snapped = run_scenario(
+        spec, soc, policy,
+        config=RunConfig(faults=faults, snapshot_at_events=half),
+    )
     assert _summary(snapped) == _summary(clean), \
         "snapshot capture perturbed the run it observed"
     snap = snapped.last_snapshot
@@ -152,7 +155,9 @@ class TestSnapshotSlackKernels:
         clean = run_scenario(spec, policy=policy)
         snapped = run_scenario(
             spec, policy=policy,
-            snapshot_at_events=clean.events_processed // 2,
+            config=RunConfig(
+                snapshot_at_events=clean.events_processed // 2
+            ),
         )
         engine = snapped.last_snapshot.resume(use_native=False)
         assert _summary(engine.resume_run()) == _summary(clean)
@@ -166,7 +171,9 @@ class TestEngineSnapshotAPI:
         clean = run_scenario(spec, policy="camdn-full")
         snapped = run_scenario(
             spec, policy="camdn-full",
-            snapshot_at_events=clean.events_processed // 2,
+            config=RunConfig(
+                snapshot_at_events=clean.events_processed // 2
+            ),
         )
         engine = MultiTenantEngine.resume(snapped.last_snapshot)
         assert _summary(engine.resume_run()) == _summary(clean)
@@ -178,7 +185,9 @@ class TestEngineSnapshotAPI:
         clean = run_scenario(spec, policy="baseline")
         snapped = run_scenario(
             spec, policy="baseline",
-            snapshot_at_events=clean.events_processed // 2,
+            config=RunConfig(
+                snapshot_at_events=clean.events_processed // 2
+            ),
         )
         engine = snapped.last_snapshot.resume(use_native=False)
         assert _summary(engine.resume_run()) == _summary(clean)
@@ -188,7 +197,7 @@ class TestSnapshotEnvelope:
     def _snapshot(self):
         spec = get_scenario("steady-quad").scaled(GRID_SCALE)
         result = run_scenario(spec, policy="baseline",
-                              snapshot_at_events=1)
+                              config=RunConfig(snapshot_at_events=1))
         return result.last_snapshot
 
     def test_envelope_fields(self):
@@ -302,12 +311,9 @@ class TestPersistentIdValidation:
 
 class TestRollingCheckpoints:
     def test_checkpoint_every_s_requires_dir(self):
-        """PR 10 moved this guard to RunConfig construction: a cadence
-        with nowhere to write is a WorkloadError before any simulation
-        (the legacy-keyword path goes through the same validation; see
-        tests/experiments/test_run_config.py)."""
+        """A cadence with nowhere to write is a WorkloadError at
+        RunConfig construction, before any simulation."""
         from repro.errors import WorkloadError
-        from repro.runconfig import RunConfig
 
         spec = get_scenario("steady-quad").scaled(GRID_SCALE)
         with pytest.raises(WorkloadError, match="checkpoint_dir"):
@@ -321,8 +327,10 @@ class TestRollingCheckpoints:
         spec = get_scenario("steady-quad").scaled(GRID_SCALE)
         clean = run_scenario(spec, policy="camdn-full")
         checked = run_scenario(spec, policy="camdn-full",
-                               checkpoint_every_s=0.0,
-                               checkpoint_dir=str(tmp_path))
+                               config=RunConfig(
+                                   checkpoint_every_s=0.0,
+                                   checkpoint_dir=str(tmp_path),
+                               ))
         assert _summary(checked) == _summary(clean), \
             "rolling checkpoints perturbed the run"
         path = tmp_path / "checkpoint.json"

@@ -1,32 +1,33 @@
-"""Tests for closed-loop workload generation."""
+"""Tests for the closed-loop workload runtime."""
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.sim.workload import (
-    ClosedLoopWorkload,
-    WorkloadSpec,
-    random_model_mix,
-)
+from repro.sim.scenario import ScenarioSpec
+from repro.sim.workload import ScenarioWorkload, random_model_mix
 
 
-class TestWorkloadSpec:
+def closed_loop_workload(model_keys, **kwargs) -> ScenarioWorkload:
+    return ScenarioWorkload(ScenarioSpec.closed_loop(model_keys, **kwargs))
+
+
+class TestClosedLoopSpec:
     def test_rejects_empty(self):
         with pytest.raises(WorkloadError):
-            WorkloadSpec(model_keys=[])
+            ScenarioSpec.closed_loop([])
 
     def test_rejects_bad_duration(self):
         with pytest.raises(WorkloadError):
-            WorkloadSpec(model_keys=["RS."], duration_s=-1.0)
+            ScenarioSpec.closed_loop(["RS."], duration_s=-1.0)
 
     def test_rejects_warmup_after_end(self):
         with pytest.raises(WorkloadError):
-            WorkloadSpec(model_keys=["RS."], duration_s=1.0, warmup_s=1.5)
+            ScenarioSpec.closed_loop(["RS."], duration_s=1.0, warmup_s=1.5)
 
     def test_total_inferences(self):
-        spec = WorkloadSpec(model_keys=["RS.", "MB."],
-                            inferences_per_stream=3, warmup_inferences=1)
-        assert spec.total_inferences == 8
+        spec = ScenarioSpec.closed_loop(["RS.", "MB."], inferences=3,
+                                        warmup_inferences=1)
+        assert sum(stream.quota for stream in spec.streams) == 8
 
 
 class TestRandomModelMix:
@@ -49,50 +50,45 @@ class TestRandomModelMix:
 
 
 class TestClosedLoopCountMode:
-    def test_initial_instances_one_per_stream(self):
-        spec = WorkloadSpec(model_keys=["RS.", "MB."])
-        workload = ClosedLoopWorkload(spec)
-        initial = workload.initial_instances()
+    def test_first_batch_one_per_stream(self):
+        workload = closed_loop_workload(["RS.", "MB."])
+        initial = workload.pop_due(0.0).instances
         assert len(initial) == 2
         assert {i.stream_id for i in initial} == set(workload.streams)
 
     def test_quota_enforced(self):
-        spec = WorkloadSpec(model_keys=["RS."], inferences_per_stream=2,
-                            warmup_inferences=1)
-        workload = ClosedLoopWorkload(spec)
-        workload.initial_instances()
+        workload = closed_loop_workload(["RS."], inferences=2,
+                                        warmup_inferences=1)
+        workload.pop_due(0.0)
         spawned = 0
         while workload.next_instance(workload.streams[0], 0.0):
             spawned += 1
         assert spawned == 2  # 3 total minus the initial one
 
     def test_warmup_flag(self):
-        spec = WorkloadSpec(model_keys=["RS."], warmup_inferences=1)
-        workload = ClosedLoopWorkload(spec)
-        first = workload.initial_instances()[0]
+        workload = closed_loop_workload(["RS."], warmup_inferences=1)
+        first = workload.pop_due(0.0).instances[0]
         second = workload.next_instance(first.stream_id, 1.0)
         assert workload.is_warmup(first)
         assert not workload.is_warmup(second)
 
     def test_qos_scale_applied(self):
-        spec = WorkloadSpec(model_keys=["MB."], qos_scale=0.8)
-        inst = ClosedLoopWorkload(spec).initial_instances()[0]
+        workload = closed_loop_workload(["MB."], qos_scale=0.8)
+        inst = workload.pop_due(0.0).instances[0]
         assert inst.qos_target_s == pytest.approx(2.8e-3 * 0.8)
 
 
 class TestClosedLoopSteadyState:
     def test_dispatch_stops_after_window(self):
-        spec = WorkloadSpec(model_keys=["RS."], duration_s=1.0)
-        workload = ClosedLoopWorkload(spec)
-        workload.initial_instances()
+        workload = closed_loop_workload(["RS."], duration_s=1.0)
+        workload.pop_due(0.0)
         assert workload.next_instance(workload.streams[0], 0.5) is not None
         assert workload.next_instance(workload.streams[0], 1.5) is None
 
     def test_window_measurement_by_arrival(self):
-        spec = WorkloadSpec(model_keys=["RS."], duration_s=1.0,
-                            warmup_s=0.2)
-        workload = ClosedLoopWorkload(spec)
-        inst = workload.initial_instances()[0]
+        workload = closed_loop_workload(["RS."], duration_s=1.0,
+                                        warmup_s=0.2)
+        inst = workload.pop_due(0.0).instances[0]
         inst.finish_time = 0.5
         assert workload.is_warmup(inst)  # arrived at 0 < warmup
         later = workload.next_instance(inst.stream_id, 0.3)

@@ -60,8 +60,9 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self._tenant_admits = 0
         self._tenant_retires = 0
         self._pages_retired = 0
-        #: id(mapping_file) -> (mapping_file, rows, pairs) tables for
-        #: the native completion handler (see _build_fast_file).
+        #: id(mapping_file) -> (mapping_file, rows, pairs, blocks)
+        #: tables for the native completion handler (see
+        #: _build_fast_file).
         self._fast_files: Dict[int, tuple] = {}
         self._advance_native = None
         self._alloc = None
@@ -249,7 +250,10 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         selection in one call (resolves the task context once).  Must
         behave exactly like ``on_layer_end`` -> ``layer_index += 1`` ->
         ``begin_layer``; the engine only calls it when the next layer
-        exists."""
+        exists.  While this method is neither overridden nor wrapped,
+        the native stepper runs its common case itself (see
+        :meth:`native_chain`) and calls it only for the completions C
+        hands back."""
         ctx = instance.sched_ctx
         if ctx is None:
             # Defensive fallback to the split protocol (raises there).
@@ -332,6 +336,29 @@ class CaMDNSchedulerBase(SchedulerPolicy):
             return self._build_work(instance, candidate, entry)
         return self._grant_to_work(instance, grant)
 
+    def native_chain(self) -> Optional[tuple]:
+        """Inputs of the native completion chain (the ``chain`` argument
+        of :func:`repro.sim.native.fused_step`), or ``None`` when the
+        chain must not engage.
+
+        The C chain replaces :meth:`advance_layer` calls, so it engages
+        only while that hook is this class's own, unwrapped method: an
+        override or a per-instance wrapper still sees every completion.
+        Read per native call — the allocator's page sum and the HW-only
+        share change between batches.
+        """
+        if self._advance_native is None or \
+                type(self).advance_layer is not \
+                CaMDNSchedulerBase.advance_layer or \
+                "advance_layer" in self.__dict__:
+            return None
+        alloc = self._alloc
+        return (
+            self, self._fast_files, alloc._tnext, alloc._pnext,
+            alloc._palloc, alloc.total_pages, alloc._palloc_sum,
+            1 if self._sys_hw is not None else 0, self.system._share,
+        )
+
     def timeout_layer(self, instance: TaskInstance, now: float
                       ) -> Tuple[Optional[LayerWork], float]:
         self._timeouts += 1
@@ -363,8 +390,12 @@ class CaMDNSchedulerBase(SchedulerPolicy):
 
     def _build_fast_file(self, mf) -> tuple:
         """Precompute the per-layer geometry rows the C completion
-        handler reads, plus one ``(grant, (work, 0.0), is_lbm)`` memo
-        dict per layer keyed by ``code * 64 + cores``.
+        handler reads, one ``(grant, (work, 0.0), is_lbm, work_bytes)``
+        memo dict per layer keyed by ``code * 64 + cores`` (the
+        LayerWork's compute/dram/hit/access values ride along for the
+        native chain), and the per-layer canonical block tuples
+        (``block_of``'s objects, installed by the native chain when a
+        selection enables or clears LBM).
 
         One table per mapping file (shared by every task of the model):
         every field is a frozen per-layer constant — candidate page
@@ -400,7 +431,7 @@ class CaMDNSchedulerBase(SchedulerPolicy):
                 tuple(geom.lwm_pages),
             ))
             pairs.append({})
-        ft = (mf, rows, pairs)
+        ft = (mf, rows, pairs, blocks)
         self._fast_files[id(mf)] = ft
         return ft
 
@@ -412,7 +443,7 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         geometry decision cache the Python chain uses, so both paths
         create identical cache entries at the first occurrence — then
         run the exact grant/work machinery once and memoize the
-        ``(grant, (work, 0.0), is_lbm)`` triple.
+        ``(grant, (work, 0.0), is_lbm, work_bytes)`` entry.
 
         Re-running ``_try_grant`` after the C commit is idempotent: the
         footprint equals the region (no resize), palloc is unchanged
@@ -493,7 +524,10 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         pair = wentry[1].get(instance.cores)
         if pair is None:
             pair = self._build_work(instance, candidate, wentry)
-        entry = (grant, pair, wentry[2])
+        work = pair[0]
+        entry = (grant, pair, wentry[2],
+                 (work.compute_cycles, work.dram_bytes, work.hit_bytes,
+                  work.access_bytes))
         ft[2][layer_index][code * 64 + instance.cores] = entry
         return entry
 

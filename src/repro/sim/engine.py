@@ -29,19 +29,36 @@ The event loop is a **batched multi-event stepper**
 a whole run of events in a tight loop, leaving only when the outer loop
 genuinely has work to do (a wakeup or timeline event is due, a task is
 queued for dispatch, or the policy's rate rule changed epoch).  Inside
-the batch, each event is one fused call — rate recomputation, min-dt
-search, fluid advance and completion scan in a single step — through
-the native kernel (:mod:`repro.sim.native`, a small C extension
-compiled on demand) for the policy's declared rate rule
-(:meth:`~repro.schedulers.base.SchedulerPolicy.rate_kernel`).  Without
-the native kernel, each event computes the rule's shares in Python
-(:func:`repro.memory.bwalloc.shares`) and steps with
-:meth:`RunningKernel.step`.  ``("equal",)`` policies ride the same batch
-loop; their rates are simply not recomputed until invalidated.  Each
-piecewise-constant interval is still stepped individually — exactness
-requires draining every interval with the same arithmetic — so batching
-elides bookkeeping, never events, and the native and Python paths are
-bit-identical.
+the batch, the native kernel (:mod:`repro.sim.native`, a small C
+extension compiled on demand) steps events itself: per event it
+recomputes the rates of the policy's declared rule
+(:meth:`~repro.schedulers.base.SchedulerPolicy.rate_kernel`), finds the
+next event time, drains the fluid work and scans for completions.  For
+the CaMDN policies it then runs each finished layer's completion chain
+in C too — Algorithm 1's end-of-layer update and next-layer selection,
+the no-resize grant, the memoized work entry, the per-layer accounting
+and the next layer's work install — and steps on.  The call returns to
+this loop only where the loop has work of its own
+(:data:`repro.sim.native.EXIT_REASONS`): an inference's last layer, a
+completion C cannot prove equivalent (a region resize or denial: an
+advance bail) or has no memoized decision for yet (a memo miss) — both
+detected before the completion is touched — a non-empty waiting set to
+poll, a wakeup, timeline or fault instant, or the event budget.
+Policies without a completion chain (and any run with a trace recorder
+or a wrapped ``advance_layer`` hook) get every event with completions
+back.  Those completions run :meth:`_process_completions` in Python.
+Without the native kernel, each event computes the rule's shares in
+Python (:func:`repro.memory.bwalloc.shares`), steps with
+:meth:`RunningKernel.step` and handles every completion in Python.
+``("equal",)`` policies ride the same batch loop; their rates are
+simply not recomputed until invalidated.  Each piecewise-constant
+interval is still stepped individually — exactness requires draining
+every interval with the same arithmetic — so batching elides
+bookkeeping, never events, and the native and Python paths are
+bit-identical.  Batch boundaries, and therefore snapshot points, are
+the same on both paths; :attr:`SimulationResult.run_stats` counts which
+path stepped each event and handled each completion, and why each
+native call returned.
 
 Dynamic tenancy: a tenant that joins mid-run is admitted through the
 scheduler's :meth:`~repro.schedulers.base.SchedulerPolicy.on_tenant_admit`
@@ -97,6 +114,18 @@ _MAX_EVENTS = 5_000_000
 #: Tolerance for "a waiter / timeline event is due" checks.
 _WAKE_EPS = 1e-12
 
+_INF = math.inf
+
+
+def _step_error(dt: float) -> SimulationError:
+    """The error for a step the engine cannot take: infinite (nothing
+    running and nothing due) or negative (corrupt state)."""
+    if math.isinf(dt):
+        return SimulationError(
+            "deadlock: active instances but no future event"
+        )
+    return SimulationError(f"negative time step {dt}")
+
 
 @dataclass
 class SimulationResult:
@@ -136,6 +165,19 @@ class SimulationResult:
     last_snapshot: Optional[object] = field(
         default=None, repr=False, compare=False
     )
+    #: Packed engine counters of this run (decoded by
+    #: :attr:`run_stats`); excluded from serialization like
+    #: ``event_trace``.
+    run_counts: bytes = field(default=b"", repr=False, compare=False)
+
+    @property
+    def run_stats(self) -> Dict[str, object]:
+        """Deterministic engine counters of this run (see
+        :func:`repro.sim.native.run_stats`): events per stepping path,
+        completions per handler, native exits by reason.  Observability
+        only — outside :meth:`metric_summary` and :meth:`summary`."""
+        return native.run_stats(self.run_counts) if self.run_counts \
+            else {}
 
     @property
     def events_per_s(self) -> float:
@@ -242,10 +284,21 @@ class MultiTenantEngine:
         self._dram_eff: Dict[int, float] = {}
         # SoA kernel over the RUNNING set.
         self._kernel = RunningKernel()
-        # Native fused stepper (None: pure-Python path).
+        # Native batch stepper (None: pure-Python path) and, when the
+        # policy offers one, its completion chain: C then handles
+        # layer completions itself, so the chain stays off while a
+        # trace recorder wants per-layer spans.
         self._native = None
+        self._chain_fn = None
         if use_native is not False:
             self._native = native.fused_step()
+            if self._native is not None and trace is None:
+                self._chain_fn = getattr(scheduler, "native_chain", None)
+        # Run-stats counters: the native buffer plus the Python step
+        # path's event and completion counts.
+        self._counters = native.new_counters()
+        self._py_events = 0
+        self._py_completions = 0
         # The policy's rate spec and its fused-step mode, resolved from
         # rate_kernel() per rate epoch (see _resolve_rate_mode).
         self._rate_spec: Optional[tuple] = None
@@ -398,6 +451,8 @@ class MultiTenantEngine:
             dropped_inferences=self.workload.dropped_inferences,
             offered_load_ratio=self._offered_load_ratio(),
             last_snapshot=self.last_snapshot,
+            run_counts=native.pack_run_counts(
+                self._counters, self._py_events, self._py_completions),
         )
         # Cheap always-on accounting check (a handful of integer adds);
         # REPRO_CHECK_CONSERVATION=0 opts out.
@@ -511,7 +566,7 @@ class MultiTenantEngine:
                 "wait_seq": dict(self._wait_seq),
                 "next_seq": self._next_seq,
                 "rates_valid": self._rates_valid,
-                "kernel": self._kernel.export_state(),
+                "kernel": self._kernel.export_state(self._rates_valid),
             },
         }
 
@@ -673,11 +728,15 @@ class MultiTenantEngine:
         classic loop — rates, boundary clamp, step, completions — and
         returns as soon as any post-event phase (timeout, timeline,
         dispatch, epoch change) must run, leaving that work to the
-        caller.  With the native kernel, the rates recompute and the
-        kernel step collapse into one fused call per event; otherwise
-        (and whenever the native call bails) the Python pair
-        :meth:`_recompute_rates` + :meth:`RunningKernel.step` runs
-        inside the same loop.  Both paths are bit-identical.
+        caller.  With the native kernel, one ``fused_step`` call steps
+        events until the next boundary this loop must see: rates,
+        step and, for policies with a completion chain, each finished
+        layer's end/select/grant/work install happen in C, and only
+        the completions C hands back go through
+        :meth:`_process_completions`.  Without it (and whenever the
+        native call bails) the Python pair :meth:`_recompute_rates` +
+        :meth:`RunningKernel.step` runs inside the same loop.  Both
+        paths are bit-identical.
         """
         kernel = self._kernel
         insts = kernel.insts
@@ -689,6 +748,16 @@ class MultiTenantEngine:
             self._resolve_rate_mode()
         step = kernel.step
         native_step = self._native
+        chain_fn = self._chain_fn
+        counters = self._counters
+        # The fluid and slack lists are mutated in place for the whole
+        # batch (only a rate-mode change, which ends the batch, swaps
+        # the slack lists); the rate lists are swapped by every Python
+        # rate install, so those are read per event.
+        rem_c, rem_d = kernel.rem_c, kernel.rem_d
+        sl_arrival, sl_qos = kernel.sl_arrival, kernel.sl_qos
+        sl_est, sl_progress = kernel.sl_est, kernel.sl_progress
+        waiting_set = self._waiting_set
         freq = self._freq
         total_bw = self._total_bw
         dynamic = self._dynamic_rates
@@ -704,78 +773,74 @@ class MultiTenantEngine:
         if not self._faults_done:
             fault_next = self._fault_runtime.next_s()
         n_eff = -1
-        eff = 0.0
+        eff = 1.0
+        budget = max_events - self.events_processed
         while True:
-            wait_dt = math.inf
+            # The next wakeup / timeline / fault instant clamps the step.
+            bound = math.inf
             if wait_heap:
-                wake = self._peek_wake_time()
-                if not math.isinf(wake):
-                    wait_dt = wake - self.now
-                    if wait_dt < 0.0:
-                        wait_dt = 0.0
+                bound = self._peek_wake_time()
             if not self._timeline_done:
                 timeline_s = workload.next_timeline_s()
                 if math.isinf(timeline_s):
                     self._timeline_done = True
                     if not self._active and not self._queued:
                         return
-                elif timeline_s - self.now < wait_dt:
-                    wait_dt = timeline_s - self.now
-                    if wait_dt < 0.0:
-                        wait_dt = 0.0
-            if fault_next - self.now < wait_dt:
-                wait_dt = fault_next - self.now
-                if wait_dt < 0.0:
-                    wait_dt = 0.0
+                elif timeline_s < bound:
+                    bound = timeline_s
+            if fault_next < bound:
+                bound = fault_next
             res = None
-            if native_step is not None:
-                if not fused_mode:
-                    if self._rates_valid:
-                        res = native_step(
-                            kernel.rem_c, kernel.rem_d,
-                            kernel.rate_c, kernel.rate_d,
-                            wait_dt, 0, freq, total_bw, 1.0, 0.0,
-                        )
-                elif insts:
+            if native_step is not None and (
+                    insts if fused_mode else self._rates_valid):
+                if fused_mode:
                     n = len(insts)
                     if n != n_eff:
                         eff = self._dram_efficiency(n)
                         n_eff = n
-                    if fused_mode == 1:
-                        res = native_step(
-                            kernel.rem_c, kernel.rem_d,
-                            kernel.rate_c, kernel.rate_d,
-                            wait_dt, 1, freq, total_bw, eff, floor,
-                        )
-                    else:
-                        res = native_step(
-                            kernel.rem_c, kernel.rem_d,
-                            kernel.rate_c, kernel.rate_d,
-                            wait_dt, fused_mode, freq, total_bw, eff,
-                            floor, kernel.sl_arrival, kernel.sl_qos,
-                            kernel.sl_est, kernel.sl_progress,
-                            self.now, urgency,
-                        )
+                res = native_step(
+                    rem_c, rem_d, kernel.rate_c, kernel.rate_d,
+                    sl_arrival, sl_qos, sl_est, sl_progress,
+                    fused_mode, freq, total_bw, eff, floor, urgency,
+                    self.now, bound, budget, waiting_set, insts,
+                    chain_fn and chain_fn(), counters,
+                )
             if res is None:
                 # Python path: the policy's share rule, then the kernel
                 # step (also the fallback for inputs the native call
                 # bails on).
                 if not self._rates_valid:
                     self._recompute_rates()
+                wait_dt = bound - self.now
+                if wait_dt < 0.0:
+                    wait_dt = 0.0
                 dt, finished = step(wait_dt)
+                if dt >= _INF or dt < 0.0:
+                    raise _step_error(dt)
+                self.now += dt
+                if dynamic and insts:
+                    self._rates_valid = False
+                self.events_processed += 1
+                budget -= 1
+                self._py_events += 1
+                if finished:
+                    self._py_completions += len(finished)
+                else:
+                    finished = None
             else:
-                dt, finished = res
-            if math.isinf(dt):
-                raise SimulationError(
-                    "deadlock: active instances but no future event"
-                )
-            if dt < 0:
-                raise SimulationError(f"negative time step {dt}")
-            self.now += dt
-            if dynamic and insts:
-                self._rates_valid = False
-            self.events_processed += 1
-            if finished:
+                # ``finished`` holds the completions C handed back
+                # (None: nothing left for Python in the last event); a
+                # bad ``dt`` is the next event's, which was not applied.
+                _, now, events, finished, dt = res
+                if events:
+                    self.now = now
+                    self.events_processed += events
+                    budget -= events
+                    if dynamic and insts:
+                        self._rates_valid = False
+                if dt >= _INF or dt < 0.0:
+                    raise _step_error(dt)
+            if finished is not None:
                 self._process_completions(finished)
                 if scheduler.rate_epoch != epoch:
                     self._resolve_rate_mode()
@@ -792,7 +857,7 @@ class MultiTenantEngine:
                 return
             if not self._active:
                 return
-            if self.events_processed >= max_events:
+            if budget <= 0:
                 return
 
     def _recompute_rates(self) -> None:

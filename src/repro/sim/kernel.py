@@ -241,16 +241,22 @@ class RunningKernel:
     # Checkpoint support (see repro.sim.snapshot)
     # ------------------------------------------------------------------
 
-    def export_state(self) -> dict:
+    def export_state(self, rates_valid: bool = True) -> dict:
         """Picklable logical state, read-only (the live kernel is not
-        touched — safe to call mid-run at a batch boundary)."""
+        touched — safe to call mid-run at a batch boundary).
+
+        Stale rates (``rates_valid`` false: the engine recomputes them
+        before the next step) export as zeros — the native and Python
+        step paths leave different stale values behind, and a snapshot
+        must not depend on which path ran."""
+        n = len(self.insts)
         return {
             "insts": list(self.insts),
             "pos": dict(self.pos),
             "rem_c": list(self.rem_c),
             "rem_d": list(self.rem_d),
-            "rate_c": list(self.rate_c),
-            "rate_d": list(self.rate_d),
+            "rate_c": list(self.rate_c) if rates_valid else [0.0] * n,
+            "rate_d": list(self.rate_d) if rates_valid else [0.0] * n,
             # Slack-input SoA state for the slack specs; the
             # est_fn binding is not picklable and is re-installed by the
             # engine's rate-mode resolution on resume.

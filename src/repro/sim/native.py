@@ -1,12 +1,14 @@
-"""Build-on-demand loader for the native fused-step kernel.
+"""Build-on-demand loader for the native stepping kernel.
 
-The engine's batch loop calls one C function per event
-(:mod:`repro.sim._batchstep`) instead of the Python
-recompute-rates/step pair.  The extension is compiled from the shipped
-``_batchstep.c`` the first time a process asks for it, cached under
-``$XDG_CACHE_HOME/camdn-repro/native/`` keyed by source digest and
-Python ABI, and loaded from the cache on every later run — so the repo
-stays a plain ``PYTHONPATH=src`` checkout with no build step.
+The engine's batch loop hands runs of events to one C function
+(:mod:`repro.sim._batchstep` ``fused_step``): per event it recomputes
+the rates, steps the fluid state and, for the CaMDN policies, handles
+each finished layer itself, returning to Python only at the exits
+listed in :data:`EXIT_REASONS`.  The extension is compiled from the
+shipped ``_batchstep.c`` the first time a process asks for it, cached
+under ``$XDG_CACHE_HOME/camdn-repro/native/`` keyed by source digest
+and Python ABI, and loaded from the cache on every later run — so the
+repo stays a plain ``PYTHONPATH=src`` checkout with no build step.
 
 The loader is strictly best-effort: a missing compiler, a sandboxed
 filesystem, a failed compile or a failed import all degrade to the pure
@@ -24,8 +26,9 @@ import os
 import subprocess
 import sys
 import sysconfig
+from array import array
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..core.serialize import resolve_cache_dir
 
@@ -35,6 +38,65 @@ _SOURCE = Path(__file__).with_name("_batchstep.c")
 #: changes without a source change (defensive; the digest covers the
 #: normal case).
 _ABI_TAG = 2
+
+#: Why a native ``fused_step`` call returned to the batch loop, in the
+#: kernel's ``EXIT_*`` order: a finished layer was its inference's last,
+#: the C selection or grant check bailed, no decision table or work
+#: entry was memoized yet, the waiting set needs a poll, a wakeup /
+#: timeline / fault instant is due, the event budget ran out, the
+#: policy has no completion chain (return after every event with
+#: completions), or the step inputs fell outside the fast path.
+EXIT_REASONS = (
+    "inference_end", "advance_bail", "memo_miss", "waiting_set",
+    "boundary", "event_budget", "no_tables", "step_bail",
+)
+
+#: int64 slots of the run-stats buffer ``fused_step`` adds to: events
+#: stepped natively, completions handled in C, exits per reason, then
+#: completions handed back to Python per exit reason.
+_N_COUNTERS = 2 + 2 * len(EXIT_REASONS)
+
+
+def new_counters() -> bytearray:
+    """A zeroed run-stats buffer for ``fused_step``."""
+    return bytearray(8 * _N_COUNTERS)
+
+
+def pack_run_counts(counters: bytearray, py_events: int,
+                    py_completions: int) -> bytes:
+    """A run's counts as one small immutable value: the run-stats buffer
+    followed by the Python step path's event and completion counts
+    (cheap to keep on every result and to pickle; see
+    :func:`run_stats`)."""
+    ctr = array("q", bytes(counters))
+    ctr.extend((py_events, py_completions))
+    return ctr.tobytes()
+
+
+def run_stats(counts: bytes) -> Dict[str, object]:
+    """Decode :func:`pack_run_counts` output.
+
+    ``events_*`` split the run's events by stepping path,
+    ``completions_*`` its layer completions by handler;
+    ``native_exits`` counts native calls by :data:`EXIT_REASONS` and
+    ``python_completions`` attributes every Python-handled completion
+    to the exit that handed it back (``python_step`` when the event
+    itself stepped in Python).
+    """
+    ctr = array("q", counts)
+    k = len(EXIT_REASONS)
+    py_events, py_completions = ctr[-2:]
+    by_reason = dict(zip(EXIT_REASONS, ctr[2 + k:2 + 2 * k]))
+    by_reason["python_step"] = py_completions
+    return {
+        "events_native": ctr[0],
+        "events_python": py_events,
+        "completions_c": ctr[1],
+        "completions_python": sum(by_reason.values()),
+        "native_exits": dict(zip(EXIT_REASONS, ctr[2:2 + k])),
+        "python_completions": by_reason,
+    }
+
 
 _loaded = False
 _fused_step: Optional[Callable] = None
@@ -105,7 +167,8 @@ def _load_from(so_path: Path):
 
 
 def fused_step() -> Optional[Callable]:
-    """The native ``fused_step`` callable, or ``None`` when unavailable.
+    """The native ``fused_step`` batch stepper, or ``None`` when
+    unavailable.
 
     First call per process compiles (or reuses) the cached extension;
     later calls return the memoized result.

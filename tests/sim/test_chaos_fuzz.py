@@ -145,7 +145,8 @@ class TestChaosNativeIdentity:
 
     @_settings
     @given(spec=scenario_specs(), faults=fault_specs())
-    @pytest.mark.parametrize("policy", ("camdn-full", "baseline"))
+    @pytest.mark.parametrize(
+        "policy", ("camdn-full", "camdn-hw", "camdn-qos", "baseline"))
     def test_native_vs_python_byte_identity_under_faults(
         self, spec, faults, policy
     ):
@@ -181,7 +182,8 @@ class TestChaosSnapshotResume:
     @_settings
     @given(spec=scenario_specs(), faults=fault_specs(),
            cut=st.floats(0.0, 1.0))
-    @pytest.mark.parametrize("policy", ("camdn-full", "baseline"))
+    @pytest.mark.parametrize(
+        "policy", ("camdn-full", "camdn-hw", "camdn-qos", "baseline"))
     def test_faulted_snapshot_resume_byte_identity(self, spec, faults,
                                                    cut, policy):
         from repro.sim.snapshot import EngineSnapshot

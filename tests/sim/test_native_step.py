@@ -8,8 +8,15 @@ spec (demand-proportional, slack-weighted, slack-throttled); the
 committed reference suite pins the default path and these tests pin the
 cross-path agreement, including MoCA's mid-run rate epoch transitions,
 QoS tenant churn and fuzzed fault schedules.
+
+For the CaMDN policies the native call also runs the completion chain
+(end-of-layer update, selection, grant, work install) across events.
+Its Python twin is the ``REPRO_NATIVE=0`` path: every exit reason of
+the native loop is driven here and compared with that twin on
+``metric_summary()``, ``scheduler.stats()`` and a mid-run snapshot.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -24,17 +31,29 @@ from fuzz_scenarios import (
     dump_falsifying_spec,
     scenario_specs,
 )
-from repro.config import SoCConfig
+from repro.config import MiB, SoCConfig
+from repro.core.serialize import simulation_result_to_dict
+from repro.errors import SimulationError
 from repro.memory import bwalloc
 from repro.schedulers import make_scheduler
+from repro.schedulers.camdn_full import CaMDNFullScheduler
 from repro.sim import native
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.kernel import RunningKernel
-from repro.sim.scenario import ArrivalProcess, ScenarioSpec, StreamSpec
+from repro.sim.scenario import (
+    ArrivalProcess,
+    ScenarioSpec,
+    StreamSpec,
+    get_scenario,
+)
+from repro.sim.trace import TraceRecorder
 from repro.sim.workload import ScenarioWorkload
 
 POLICIES = ("baseline", "moca", "aurora", "camdn-hw", "camdn-full",
             "camdn-qos")
+
+#: The CaMDN policies, whose native calls run the completion chain.
+CHAIN_POLICIES = ("camdn-full", "camdn-hw", "camdn-qos")
 
 _fuzz_settings = settings(
     max_examples=int(os.environ.get("REPRO_FUZZ_EXAMPLES", "10")),
@@ -64,6 +83,29 @@ def _python_step(kernel, spec, wait_dt, freq, bw, eff, now=0.0):
         [r if (r := bw * s * eff) > 1e-6 else 1e-6 for s in shares],
     )
     return kernel.step(wait_dt)
+
+
+def _native_event(rem_c, rem_d, rate_c, rate_d, wait_dt, mode, freq,
+                  bw, eff, floor, slack=((), (), (), ()), now=0.0,
+                  urgency=0.0):
+    """One event through the native batch entry (no completion chain,
+    an event budget of one): ``(dt, finished)`` like
+    :meth:`RunningKernel.step`, or None when the call bails.
+
+    The entry takes the boundary as an instant, so the wait clamp it
+    applies is ``(now + wait_dt) - now`` — see :func:`_clamp`."""
+    res = NATIVE(rem_c, rem_d, rate_c, rate_d, *map(list, slack), mode,
+                 freq, bw, eff, floor, urgency, now, now + wait_dt, 1,
+                 False, [None] * len(rem_c), None, native.new_counters())
+    if res is None:
+        return None
+    _, _, _, finished, dt = res
+    return dt, finished
+
+
+def _clamp(wait_dt, now):
+    """The wait clamp :func:`_native_event` applies for ``wait_dt``."""
+    return max((now + wait_dt) - now, 0.0)
 
 
 def _run(policy_name, *, use_native=None,
@@ -170,8 +212,8 @@ class TestFusedStepBitIdentity:
             eff = rng.choice((0.92, 0.775))
             floor = 0.02
             c_rem_c, c_rem_d = list(rem_c), list(rem_d)
-            res_c = NATIVE(c_rem_c, c_rem_d, [], [], wait_dt, 1,
-                           freq, bw, eff, floor)
+            res_c = _native_event(c_rem_c, c_rem_d, [], [], wait_dt, 1,
+                                  freq, bw, eff, floor)
             kernel = self._kernel_with(rem_c, rem_d)
             dt_py, fin_py = _python_step(kernel, ("demand_prop", floor),
                                          wait_dt, freq, bw, eff)
@@ -195,8 +237,8 @@ class TestFusedStepBitIdentity:
                       for _ in range(n)]
             wait_dt = rng.choice((math.inf, rng.uniform(0.0, 1e-4)))
             c_rem_c, c_rem_d = list(rem_c), list(rem_d)
-            res_c = NATIVE(c_rem_c, c_rem_d, rate_c, rate_d, wait_dt,
-                           0, 1e9, 102.4e9, 1.0, 0.0)
+            res_c = _native_event(c_rem_c, c_rem_d, rate_c, rate_d,
+                                  wait_dt, 0, 1e9, 102.4e9, 1.0, 0.0)
             kernel = RunningKernel()
             kernel.rem_c = list(rem_c)
             kernel.rem_d = list(rem_d)
@@ -214,8 +256,8 @@ class TestFusedStepBitIdentity:
                     [x.hex() for x in kernel.rem_d]
 
     def test_non_float_items_fall_back(self):
-        assert NATIVE([1, 2.0], [2.0, 3.0], [], [], math.inf, 1,
-                      1e9, 1e9, 0.9, 0.02) is None
+        assert _native_event([1, 2.0], [2.0, 3.0], [], [], math.inf, 1,
+                             1e9, 1e9, 0.9, 0.02) is None
 
 
 @needs_native
@@ -268,15 +310,16 @@ class TestFusedSlackBitIdentity:
             floor = rng.choice((0.02, 0.0))
             urgency = 3.0 if mode == 2 else 0.0
             c_rem_c, c_rem_d = list(rem_c), list(rem_d)
-            res_c = NATIVE(c_rem_c, c_rem_d, [], [], wait_dt, mode,
-                           freq, bw, eff, floor, list(arrival),
-                           list(qos), list(est), list(progress), now,
-                           urgency)
+            res_c = _native_event(c_rem_c, c_rem_d, [], [], wait_dt,
+                                  mode, freq, bw, eff, floor,
+                                  (arrival, qos, est, progress), now,
+                                  urgency)
             kernel = self._kernel_with(rem_c, rem_d, arrival, qos, est,
                                        progress)
             spec = ("slack_weighted", urgency, floor) if mode == 2 \
                 else ("slack_throttled", floor)
-            dt_py, fin_py = _python_step(kernel, spec, wait_dt, freq, bw,
+            dt_py, fin_py = _python_step(kernel, spec,
+                                         _clamp(wait_dt, now), freq, bw,
                                          eff, now)
             assert res_c is not None
             dt_c, fin_c = res_c
@@ -289,21 +332,23 @@ class TestFusedSlackBitIdentity:
 
     def test_non_float_slack_items_fall_back(self):
         args = ([2.0], [3.0], [], [], math.inf, 2, 1e9, 1e9, 0.9, 0.02)
-        good = ([0.0], [1.0], [0.01], [0.5], 0.0, 3.0)
-        assert NATIVE(*args, *good) is not None
+        good = ([0.0], [1.0], [0.01], [0.5])
+        assert _native_event(*args, good, 0.0, 3.0) is not None
         for pos in range(4):
             bad = list(good)
             bad[pos] = [1]  # int, not float
-            assert NATIVE(*args, *bad) is None
+            assert _native_event(*args, bad, 0.0, 3.0) is None
 
     def test_mismatched_slack_lengths_fall_back(self):
-        assert NATIVE([2.0], [3.0], [], [], math.inf, 2,
-                      1e9, 1e9, 0.9, 0.02,
-                      [0.0, 0.0], [1.0], [0.01], [0.5], 0.0, 3.0) is None
+        assert _native_event([2.0], [3.0], [], [], math.inf, 2,
+                             1e9, 1e9, 0.9, 0.02,
+                             ([0.0, 0.0], [1.0], [0.01], [0.5]),
+                             0.0, 3.0) is None
 
-    def test_slack_mode_requires_16_args(self):
-        assert NATIVE([2.0], [3.0], [], [], math.inf, 2,
-                      1e9, 1e9, 0.9, 0.02) is None
+    def test_slack_mode_requires_slack_inputs(self):
+        # A slack mode without slack inputs bails.
+        assert _native_event([2.0], [3.0], [], [], math.inf, 2,
+                             1e9, 1e9, 0.9, 0.02) is None
 
 
 class TestEngineCrossPathIdentity:
@@ -409,7 +454,7 @@ class TestFuzzedCrossPathIdentity:
 
     @_fuzz_settings
     @given(spec=count_mode_scenario_specs())
-    @pytest.mark.parametrize("policy", ("camdn-full", "aurora"))
+    @pytest.mark.parametrize("policy", CHAIN_POLICIES + ("aurora",))
     def test_fuzzed_backlog_drain_native_vs_python(self, spec, policy):
         # Count-mode quotas force open-loop backlogs to drain fully
         # across whichever step path is active.
@@ -453,3 +498,371 @@ class TestFaultedSlackCrossPath:
                                            "slack-native-vs-python")
         else:
             assert not without.metrics.records
+
+
+# ----------------------------------------------------------------------
+# The native completion chain
+# ----------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _pure_python():
+    """``REPRO_NATIVE=0`` for the block: neither the engine's stepper
+    nor the schedulers' ``camdn_advance`` helper is loaded, so runs
+    take the Python twin of every native path."""
+    saved = os.environ.get("REPRO_NATIVE")
+    os.environ["REPRO_NATIVE"] = "0"
+    native.reset_for_tests()
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["REPRO_NATIVE"]
+        else:
+            os.environ["REPRO_NATIVE"] = saved
+        native.reset_for_tests()
+        native.fused_step()
+
+
+def _observe(policy, spec, soc=None, *, snapshot_at=None,
+             max_events=None):
+    """One run's byte-identity surfaces: ``metric_summary()``,
+    ``scheduler.stats()`` and a snapshot (the ``snapshot_at_events``
+    one, or — when the event budget stops the run — the engine's state
+    at the boundary where the watchdog fired)."""
+    scheduler = make_scheduler(policy)
+    engine = MultiTenantEngine(soc or SoCConfig(), scheduler,
+                               ScenarioWorkload(spec))
+    try:
+        result = engine.run(snapshot_at_events=snapshot_at,
+                            max_events=max_events)
+    except SimulationError as err:
+        return {
+            "error": str(err),
+            "stats": scheduler.stats(),
+            "snapshot": engine.snapshot().to_json(),
+        }, None
+    snap = result.last_snapshot
+    return {
+        "metrics": _metrics_json(result),
+        "stats": scheduler.stats(),
+        "events": result.events_processed,
+        "snapshot": None if snap is None else snap.to_json(),
+    }, result
+
+
+def _quad(inferences=2, qos_scale=float("inf")):
+    return ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "BE."),
+                                    inferences=inferences,
+                                    qos_scale=qos_scale)
+
+
+#: One run per native exit reason: (policy, spec, soc, max_events).
+#: ``advance_bail`` needs region resizes (a page-constrained 2 MiB
+#: cache); ``waiting_set`` needs grants denied (a 1 MiB cache shared by
+#: eight streams); ``boundary`` needs timeline instants (periodic
+#: arrivals);
+#: ``event_budget`` stops the run at the watchdog; ``no_tables`` is a
+#: policy without a completion chain.
+EXIT_CASES = {
+    "inference_end": ("camdn-hw", lambda: _quad(), None, None),
+    "advance_bail": ("camdn-full", lambda: _quad(),
+                     SoCConfig().with_cache_bytes(2 * MiB), None),
+    "memo_miss": ("camdn-qos", lambda: _quad(qos_scale=1.0), None, None),
+    "waiting_set": (
+        "camdn-full",
+        lambda: ScenarioSpec.closed_loop(
+            ("RS.", "MB.", "EF.", "BE.") * 2, inferences=2),
+        SoCConfig().with_cache_bytes(1 * MiB), None,
+    ),
+    "boundary": ("camdn-full", lambda: get_scenario("periodic-eight"),
+                 None, None),
+    "event_budget": ("camdn-full", lambda: _quad(), None, 500),
+    "no_tables": ("aurora", lambda: _quad(), None, None),
+}
+
+
+@needs_native
+class TestCompletionChainExits:
+    """Every exit of the native loop against the ``REPRO_NATIVE=0``
+    twin: the run must leave the loop for that reason at least once,
+    and agree byte for byte on the metrics, the scheduler counters and
+    a snapshot taken mid-run."""
+
+    @pytest.mark.parametrize("reason", sorted(EXIT_CASES))
+    def test_exit_reason_matches_python_twin(self, reason):
+        policy, spec_fn, soc, max_events = EXIT_CASES[reason]
+        spec = spec_fn()
+        first, result = _observe(policy, spec, soc, max_events=max_events)
+        if result is None:
+            at = max_events // 2
+        else:
+            at = result.events_processed // 2
+            assert result.run_stats["native_exits"][reason] > 0
+        native_obs, native_result = _observe(
+            policy, spec, soc, snapshot_at=at, max_events=max_events)
+        with _pure_python():
+            python_obs, python_result = _observe(
+                policy, spec, soc, snapshot_at=at, max_events=max_events)
+        assert native_obs["snapshot"] is not None
+        assert native_obs == python_obs
+        if native_result is not None:
+            assert python_result.run_stats["events_native"] == 0
+            assert python_result.run_stats["completions_c"] == 0
+        else:
+            assert "event cap exceeded" in native_obs["error"]
+
+    def test_event_budget_exit_is_counted(self):
+        scheduler = make_scheduler("camdn-full")
+        engine = MultiTenantEngine(SoCConfig(), scheduler,
+                                   ScenarioWorkload(_quad()))
+        with pytest.raises(SimulationError, match="event cap"):
+            engine.run(max_events=500)
+        stats = native.run_stats(native.pack_run_counts(
+            engine._counters, engine._py_events, engine._py_completions))
+        assert stats["native_exits"]["event_budget"] == 1
+        assert stats["events_native"] + stats["events_python"] == 500
+
+
+@needs_native
+class TestCompletionChainBails:
+    """A chain bail is detected before the completion it concerns is
+    touched: the allocator's predictor lists, every task's LBM block,
+    the finished instances and the kernel arrays are exactly what a
+    chain-less native event leaves behind."""
+
+    def _engine_pair(self, policy="camdn-full"):
+        # Two engines in the same state at the first batch boundary.
+        scheduler = make_scheduler(policy)
+        engine = MultiTenantEngine(SoCConfig(), scheduler,
+                                   ScenarioWorkload(_quad()))
+        result = engine.run(snapshot_at_events=0)
+        snap = result.last_snapshot
+        assert snap is not None
+        pair = snap.resume(), snap.resume()
+        for resumed in pair:
+            # What resume_run does before its first batch.
+            resumed._resolve_rate_mode()
+        return pair
+
+    def _event(self, engine, chain):
+        kernel = engine._kernel
+        counters = native.new_counters()
+        res = NATIVE(
+            kernel.rem_c, kernel.rem_d, kernel.rate_c, kernel.rate_d,
+            kernel.sl_arrival, kernel.sl_qos, kernel.sl_est,
+            kernel.sl_progress, engine._fused_mode, engine._freq,
+            engine._total_bw, engine._dram_efficiency(len(kernel.insts)),
+            engine._mode_floor, engine._mode_urgency, engine.now,
+            math.inf, 1, False, kernel.insts, chain, counters,
+        )
+        return res, counters
+
+    def _state(self, engine):
+        alloc = engine.scheduler._alloc
+        kernel = engine._kernel
+        return {
+            "tnext": [x.hex() for x in alloc._tnext],
+            "pnext": list(alloc._pnext),
+            "palloc": list(alloc._palloc),
+            "palloc_sum": alloc._palloc_sum,
+            "lbm": [s.lbm_block for s in alloc._states],
+            "insts": [(i.instance_id, i.layer_index, i.work,
+                       i.dram_bytes_total, i.layers_executed,
+                       i.sched_scratch) for i in kernel.insts],
+            "rem_c": [x.hex() for x in kernel.rem_c],
+            "rem_d": [x.hex() for x in kernel.rem_d],
+            "lbm_layers": engine.scheduler.stats()["lbm_layers"],
+        }
+
+    def _assert_untouched(self, reason, poison):
+        engine, twin = self._engine_pair()
+        scheduler = engine.scheduler
+        resume_state = self._state(engine)
+        if poison:
+            # Tables exist, but no row is one the C selection accepts.
+            for inst in engine._kernel.insts:
+                ft = scheduler._build_fast_file(
+                    inst.sched_ctx[0].mapping_file)
+                ft[1][:] = [("bad",)] * len(ft[1])
+        res, counters = self._event(engine, scheduler.native_chain())
+        plain, _ = self._event(twin, None)
+        code, now, events, finished, dt = res
+        assert native.EXIT_REASONS[code] == reason
+        assert events == 1
+        # Every finished position is handed back, in insertion order,
+        # exactly as the chain-less call reports them.
+        assert finished == plain[3] and finished
+        assert (now, dt) == (plain[1], plain[4])
+        state = self._state(engine)
+        assert state == self._state(twin)
+        # Only the fluid drain of the stepped event moved.
+        for key in ("tnext", "pnext", "palloc", "palloc_sum", "lbm",
+                    "insts", "lbm_layers"):
+            assert state[key] == resume_state[key], key
+        stats = native.run_stats(native.pack_run_counts(counters, 0, 0))
+        assert stats["native_exits"][reason] == 1
+        assert stats["completions_c"] == 0
+        assert stats["python_completions"][reason] == len(finished)
+
+    def test_memo_miss_mutates_nothing(self):
+        self._assert_untouched("memo_miss", poison=False)
+
+    def test_advance_bail_mutates_nothing(self):
+        self._assert_untouched("advance_bail", poison=True)
+
+    def test_camdn_advance_bail_mutates_nothing(self):
+        # The per-completion helper: a selection whose footprint is not
+        # the task's current region needs a resize, so it bails.
+        engine, _ = self._engine_pair()
+        scheduler = engine.scheduler
+        alloc = scheduler._alloc
+        inst = engine._kernel.insts[0]
+        state, region = inst.sched_ctx
+        ft = scheduler._build_fast_file(state.mapping_file)
+        before = (list(alloc._tnext), list(alloc._pnext),
+                  list(alloc._palloc), state.lbm_block)
+        fast = native.camdn_advance()
+        res = fast(
+            alloc._tnext, alloc._pnext, alloc._palloc, state._slot,
+            engine.now, alloc.total_pages, alloc._palloc_sum, -1, -1,
+            inst.layer_index, len(region.pcpns) + 1,
+            ft[1][inst.layer_index + 1], 0, scheduler.system._share,
+        )
+        assert res is None
+        assert (list(alloc._tnext), list(alloc._pnext),
+                list(alloc._palloc), state.lbm_block) == before
+
+    def test_step_bail_reports_unapplied_step(self):
+        # Nothing running and no boundary: the step would be infinite,
+        # so the call reports it without stepping (the engine raises).
+        counters = native.new_counters()
+        res = NATIVE([], [], [], [], [], [], [], [], 1, 1e9, 1e9, 0.9,
+                     0.02, 0.0, 0.5, math.inf, 10, False, [], None,
+                     counters)
+        code, now, events, finished, dt = res
+        assert native.EXIT_REASONS[code] == "step_bail"
+        assert (now, events, finished) == (0.5, 0, None)
+        assert math.isinf(dt)
+        stats = native.run_stats(native.pack_run_counts(counters, 0, 0))
+        assert stats["native_exits"]["step_bail"] == 1
+
+
+class CountingAdvance(CaMDNFullScheduler):
+    """camdn-full with an overridden per-completion hook."""
+
+    def __init__(self):
+        super().__init__()
+        self.advances = 0
+
+    def advance_layer(self, instance, now):
+        self.advances += 1
+        return super().advance_layer(instance, now)
+
+
+class TestCompletionChainEngagement:
+    """The chain replaces ``advance_layer`` calls, so it must stay off
+    whenever something wants to see them."""
+
+    def _run_with(self, scheduler, trace=None):
+        engine = MultiTenantEngine(SoCConfig(), scheduler,
+                                   ScenarioWorkload(_quad()),
+                                   trace=trace)
+        return engine.run()
+
+    def _completions(self, result):
+        stats = result.run_stats
+        return stats["completions_c"] + stats["completions_python"]
+
+    def test_overridden_advance_layer_sees_every_completion(self):
+        plain = self._run_with(make_scheduler("camdn-full"))
+        probe = CountingAdvance()
+        result = self._run_with(probe)
+        assert result.run_stats["completions_c"] == 0
+        assert _metrics_json(result) == _metrics_json(plain)
+        # One call per completion that has a next layer; the last layer
+        # of each inference goes through on_layer_end instead.
+        assert probe.advances == \
+            self._completions(plain) - plain.completed_inferences
+        assert self._completions(result) == self._completions(plain)
+
+    def test_wrapped_advance_layer_sees_every_completion(self):
+        plain = self._run_with(make_scheduler("camdn-full"))
+        scheduler = make_scheduler("camdn-full")
+        calls = []
+        inner = scheduler.advance_layer
+
+        def wrapper(instance, now):
+            calls.append(instance.instance_id)
+            return inner(instance, now)
+
+        scheduler.advance_layer = wrapper
+        result = self._run_with(scheduler)
+        assert result.run_stats["completions_c"] == 0
+        assert len(calls) == \
+            self._completions(plain) - plain.completed_inferences
+        assert _metrics_json(result) == _metrics_json(plain)
+
+    def test_trace_recorder_disengages_chain(self):
+        plain = self._run_with(make_scheduler("camdn-full"))
+        trace = TraceRecorder()
+        result = self._run_with(make_scheduler("camdn-full"), trace)
+        assert result.run_stats["completions_c"] == 0
+        layer_spans = [s for s in trace.spans if s.kind.name == "LAYER"]
+        assert len(layer_spans) == self._completions(plain)
+        assert _metrics_json(result) == _metrics_json(plain)
+
+
+class TestRunStats:
+    """``SimulationResult.run_stats``: deterministic, complete, and kept
+    off every byte-identity and serialization surface."""
+
+    @needs_native
+    def test_counts_repeat_exactly(self):
+        a = _run("camdn-full").run_stats
+        b = _run("camdn-full").run_stats
+        assert a == b
+
+    @needs_native
+    @pytest.mark.parametrize("policy", CHAIN_POLICIES)
+    def test_steady_quad_completions_run_in_c(self, policy):
+        scheduler = make_scheduler(policy)
+        engine = MultiTenantEngine(SoCConfig(), scheduler,
+                                   ScenarioWorkload(
+                                       get_scenario("steady-quad")))
+        stats = engine.run().run_stats
+        total = stats["completions_c"] + stats["completions_python"]
+        assert stats["completions_c"] >= 0.9 * total
+        # Every Python-handled completion is attributed to a reason.
+        assert sum(stats["python_completions"].values()) == \
+            stats["completions_python"]
+        assert stats["python_completions"]["python_step"] == 0
+        assert stats["events_python"] == 0
+
+    def test_python_path_counts_every_event(self):
+        result = _run("camdn-full", use_native=False)
+        stats = result.run_stats
+        assert stats["events_python"] == result.events_processed
+        assert stats["events_native"] == 0
+        assert stats["completions_c"] == 0
+        assert stats["completions_python"] == \
+            stats["python_completions"]["python_step"] > 0
+
+    def test_kept_off_identity_surfaces(self):
+        result = _run("camdn-full")
+        assert result.run_stats
+        for surface in (result.metric_summary(), result.summary(),
+                        simulation_result_to_dict(result)):
+            assert "run_stats" not in surface
+            assert "run_counts" not in surface
+            assert not set(surface) & set(result.run_stats)
+
+    def test_counts_travel_with_the_result(self):
+        # Pool workers pickle results back: the packed counts ride
+        # along (a few hundred bytes) and decode to the same stats.
+        import pickle
+
+        result = _run("camdn-full")
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy.run_stats == result.run_stats
+        assert len(result.run_counts) <= 256

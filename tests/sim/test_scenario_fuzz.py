@@ -134,7 +134,9 @@ class TestFuzzedNativeIdentity:
 
     @_settings
     @given(spec=scenario_specs())
-    @pytest.mark.parametrize("policy", ("camdn-full", "moca", "baseline"))
+    @pytest.mark.parametrize(
+        "policy",
+        ("camdn-full", "camdn-hw", "camdn-qos", "moca", "baseline"))
     def test_native_vs_python_byte_identity(self, spec, policy):
         try:
             with_native = self._run(spec, policy, None)
@@ -163,7 +165,8 @@ class TestFuzzedSnapshotResume:
 
     @_settings
     @given(spec=scenario_specs(), cut=st.floats(0.0, 1.0))
-    @pytest.mark.parametrize("policy", ("camdn-full", "baseline"))
+    @pytest.mark.parametrize(
+        "policy", ("camdn-full", "camdn-hw", "camdn-qos", "baseline"))
     def test_snapshot_resume_byte_identity(self, spec, cut, policy):
         from repro.sim.snapshot import EngineSnapshot
 

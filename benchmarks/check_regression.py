@@ -19,7 +19,7 @@ Usage::
     python benchmarks/check_regression.py engine
 
     # or check every bench whose output file is present next to cwd:
-    python benchmarks/check_regression.py engine scenario allocator
+    python benchmarks/check_regression.py engine scenario allocator mapper
 """
 
 from __future__ import annotations
@@ -79,6 +79,13 @@ MANIFEST: Dict[str, BenchSpec] = {
         section="fleets",
         rate_path=("kernel", "events_per_s"),
         unit="ev/s",
+    ),
+    "mapper": BenchSpec(
+        current="BENCH_mapper.json",
+        baseline="BENCH_mapper.baseline.json",
+        section="socs",
+        rate_path=("models_per_s",),
+        unit="models/s",
     ),
 }
 

@@ -43,6 +43,7 @@ from .core.prepared import (
     PreparedModel,
     PreparedWorkload,
     clear_prepared_caches,
+    mapper_counters,
     prepare_model,
     prepare_workload,
     prepared_cache_info,
@@ -116,6 +117,7 @@ __all__ = [
     "prepare_model",
     "prepare_workload",
     "prepared_cache_info",
+    "mapper_counters",
     "clear_prepared_caches",
     "simulate",
     # Stable public facade (PR 10): one import surface for running

@@ -34,6 +34,7 @@ from .prepared import (
     PreparedModel,
     PreparedWorkload,
     clear_prepared_caches,
+    mapper_counters,
     prepare_model,
     prepare_workload,
     prepared_cache_info,
@@ -68,6 +69,7 @@ __all__ = [
     "prepare_model",
     "prepare_workload",
     "prepared_cache_info",
+    "mapper_counters",
     "clear_prepared_caches",
     "AreaModel",
     "area_breakdown_table",

@@ -22,7 +22,7 @@ Non-pinned tensors use bypass semantics and never pollute the region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet
+from typing import FrozenSet, Tuple
 
 from ...errors import MappingError
 from .loopnest import GEMMShape, trip_count
@@ -107,12 +107,23 @@ def refetch_factors(shape: GEMMShape, choice: TilingChoice) -> dict:
     ``k``.  Output partial sums additionally pay a reload on each spill:
     a factor ``f`` of k-revisits costs ``2f - 1`` transfers.
     """
+    weight, input_, output = tile_refetch_factors(
+        shape, choice.tm, choice.tn, choice.tk, choice.innermost
+    )
+    return {"weight": weight, "input": input_, "output": output}
+
+
+def tile_refetch_factors(shape: GEMMShape, tm: int, tn: int, tk: int,
+                         innermost: str) -> Tuple[int, int, int]:
+    """:func:`refetch_factors` of one tile as a ``(weight, input,
+    output)`` tuple; it depends on the tile and the innermost loop only,
+    never on what is pinned."""
     trips = {
-        "m": trip_count(shape.m, choice.tm),
-        "n": trip_count(shape.n, choice.tn),
-        "k": trip_count(shape.k, choice.tk),
+        "m": trip_count(shape.m, tm),
+        "n": trip_count(shape.n, tn),
+        "k": trip_count(shape.k, tk),
     }
-    order = LOOP_ORDERS[choice.innermost]
+    order = LOOP_ORDERS[innermost]
     weight = _reload_factor(order, trips, "m")
     input_ = _reload_factor(order, trips, "n")
     # Output: invariant to k; each extra visit spills and reloads.
@@ -124,7 +135,7 @@ def refetch_factors(shape: GEMMShape, choice: TilingChoice) -> dict:
         output = 2 * trips["k"] - 1
     else:
         output = 1
-    return {"weight": weight, "input": input_, "output": output}
+    return weight, input_, output
 
 
 def dram_traffic_bytes(
@@ -176,8 +187,12 @@ def scratchpad_bytes(choice: TilingChoice, dtype_bytes: int = 1,
     tile ``tm x tn``; streaming tensors are double-buffered so DMA overlaps
     compute.
     """
-    in_tile = choice.tm * choice.tk
-    w_tile = choice.tk * choice.tn
-    out_tile = choice.tm * choice.tn
+    return tile_scratchpad_bytes(choice.tm, choice.tn, choice.tk,
+                                 dtype_bytes, double_buffer)
+
+
+def tile_scratchpad_bytes(tm: int, tn: int, tk: int, dtype_bytes: int = 1,
+                          double_buffer: bool = True) -> int:
+    """:func:`scratchpad_bytes` of a bare ``(tm, tn, tk)`` tile."""
     buf = 2 if double_buffer else 1
-    return ((in_tile + w_tile) * buf + out_tile) * dtype_bytes
+    return ((tm * tk + tk * tn) * buf + tm * tn) * dtype_bytes

@@ -21,12 +21,12 @@ This module encodes those rules:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Tuple
 
 from ...config import NPUConfig
 from .dram_model import PINNABLE, TilingChoice, refetch_factors, \
-    scratchpad_bytes
+    tile_scratchpad_bytes
 from .loopnest import GEMMShape, tile_candidates
 
 
@@ -45,50 +45,37 @@ class HeuristicRules:
     npu: NPUConfig
     dtype_bytes: int = 1
     max_tiles_per_dim: int = 8
-    _stats: dict = field(default_factory=dict)
 
-    def tile_space(self, shape: GEMMShape) -> Iterator[Tuple[int, int, int]]:
-        """Yield PE-aligned, scratchpad-feasible (tm, tn, tk) triples."""
+    def tile_space(self, shape: GEMMShape) -> List[Tuple[int, int, int]]:
+        """PE-aligned, scratchpad-feasible ``(tm, tn, tk)`` triples, in
+        ``itertools.product`` order of the per-dimension candidates."""
         tms = tile_candidates(shape.m, self.npu.pe_rows,
                               self.max_tiles_per_dim)
         tns = tile_candidates(shape.n, self.npu.pe_cols,
                               self.max_tiles_per_dim)
         tks = tile_candidates(shape.k, self.npu.pe_rows,
                               self.max_tiles_per_dim)
-        total = kept = 0
-        for tm, tn, tk in itertools.product(tms, tns, tks):
-            total += 1
-            choice = TilingChoice(tm=tm, tn=tn, tk=tk, innermost="m")
-            if scratchpad_bytes(choice, self.dtype_bytes) > \
-                    self.npu.scratchpad_bytes:
-                continue
-            kept += 1
-            yield (tm, tn, tk)
-        self._stats["tile_space_total"] = total
-        self._stats["tile_space_kept"] = kept
+        capacity = self.npu.scratchpad_bytes
+        return [
+            (tm, tn, tk)
+            for tm, tn, tk in itertools.product(tms, tns, tks)
+            if tile_scratchpad_bytes(tm, tn, tk, self.dtype_bytes)
+            <= capacity
+        ]
 
-    def subspaces(self, shape: GEMMShape,
-                  usage_limit_bytes: int) -> List[Subspace]:
-        """Disjoint (pinning, innermost) subspaces worth solving.
+    def subspaces(self) -> List[Subspace]:
+        """Disjoint (pinning, innermost) subspaces worth solving, in
+        solver order (pin sets by size, then innermost ``m``, ``n``,
+        ``k``).
 
-        Rules applied:
-
-        * a pinned subset must fit ``usage_limit_bytes`` outright;
-        * with a zero limit, only the empty pin set survives;
-        * pinning a tensor that no feasible tiling refetches is dominated
-          and dropped (checked against the most refetch-prone tiling).
+        Pinning a tensor that the innermost choice never refetches is
+        dominated and dropped.  Whether a pin set fits a cache-usage
+        limit is the solver's test, since it also counts LBM operands.
         """
-        sizes = {
-            "weight": shape.weight_elems * self.dtype_bytes,
-            "input": shape.input_elems * self.dtype_bytes,
-            "output": shape.output_elems * self.dtype_bytes,
-        }
         subspaces: List[Subspace] = []
         for r in range(len(PINNABLE) + 1):
             for combo in itertools.combinations(PINNABLE, r):
                 pinned = frozenset(combo)
-                if sum(sizes[t] for t in pinned) > usage_limit_bytes:
-                    continue
                 for innermost in ("m", "n", "k"):
                     if self._pin_dominated(pinned, innermost):
                         continue
@@ -101,11 +88,6 @@ class HeuristicRules:
         be dropped: the pin buys nothing and only costs pages."""
         never_refetched = {"m": "weight", "n": "input", "k": "output"}
         return never_refetched[innermost] in pinned
-
-    @property
-    def stats(self) -> dict:
-        """Pruning statistics from the last :meth:`tile_space` call."""
-        return dict(self._stats)
 
 
 def most_refetched_tensor(shape: GEMMShape,

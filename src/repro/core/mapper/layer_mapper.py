@@ -187,14 +187,10 @@ class LayerMapper:
                     mapping_file: ModelMappingFile) -> None:
         if path is None:
             return
-        import json
-
-        from ..serialize import atomic_write_text, mapping_file_to_dict
+        from ..serialize import atomic_write_text, mapping_file_to_text
 
         # Best-effort: a failed write must not fail the mapping phase.
-        atomic_write_text(
-            path, json.dumps(mapping_file_to_dict(mapping_file), indent=1)
-        )
+        atomic_write_text(path, mapping_file_to_text(mapping_file))
 
     def _solve_model(self, graph: ModelGraph) -> ModelMappingFile:
         blocks = plan_blocks(graph, self.soc, self.lbm_occupancy_fraction)

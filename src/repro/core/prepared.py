@@ -31,6 +31,7 @@ from ..models.graph import ModelGraph
 from ..models.zoo import build_model
 from ..npu.systolic import SystolicModel
 from .mapper.layer_mapper import LayerMapper
+from .mapper.solver import COUNTERS as SOLVER_COUNTERS, SubspaceSolver
 from .mct import ModelMappingFile
 
 
@@ -206,20 +207,28 @@ def prepared_cache_info() -> Dict[str, CacheInfo]:
     }
 
 
+def mapper_counters() -> Dict[str, int]:
+    """Deterministic work counters of the offline mapper since the last
+    :func:`clear_prepared_caches` (see
+    :data:`repro.core.mapper.solver.COUNTERS`): tile tables built, tiles
+    evaluated, and solve-memo hits and misses."""
+    return dict(SOLVER_COUNTERS)
+
+
 def clear_prepared_caches() -> None:
     """Drop all prepared objects and reset counters (for tests).
 
-    Also clears the underlying in-process mapping memos (solved loop
-    nests and model mapping files) so a subsequent run re-derives them.
-    The on-disk mapping-file store is left intact (point
-    ``REPRO_MAPPING_CACHE_DIR`` at an empty dir — or set it empty to
-    disable — for a fully cold run).
+    Also clears the underlying in-process mapping memos (solved tiling
+    subspaces and model mapping files) so a subsequent run re-derives
+    them, and resets :func:`mapper_counters`.  The on-disk mapping-file
+    store is left intact (point ``REPRO_MAPPING_CACHE_DIR`` at an empty
+    dir — or set it empty to disable — for a fully cold run).
     """
-    from .mapper.solver import SubspaceSolver
-
     _MODEL_CACHE.clear()
     _WORKLOAD_CACHE.clear()
     LayerMapper._SHARED_CACHE.clear()
     SubspaceSolver._SOLVE_CACHE.clear()
     for stat in _STATS:
         _STATS[stat] = 0
+    for counter in SOLVER_COUNTERS:
+        SOLVER_COUNTERS[counter] = 0

@@ -147,6 +147,17 @@ def mapping_file_from_dict(data: dict) -> ModelMappingFile:
     )
 
 
+def mapping_file_to_text(mapping_file: ModelMappingFile) -> str:
+    """The JSON text of a mapping file, as every writer stores it.
+
+    Compact separators: the files are read back by
+    :func:`load_mapping_file`, not by people, and compact output keeps
+    ``json`` on its C encoder.
+    """
+    return json.dumps(mapping_file_to_dict(mapping_file),
+                      separators=(",", ":"))
+
+
 def save_mapping_file(mapping_file: ModelMappingFile,
                       path: Union[str, Path]) -> Path:
     """Write a mapping file as JSON; returns the path written.
@@ -156,7 +167,7 @@ def save_mapping_file(mapping_file: ModelMappingFile,
     the complete new content, never a torn file.
     """
     path = Path(path)
-    text = json.dumps(mapping_file_to_dict(mapping_file), indent=1)
+    text = mapping_file_to_text(mapping_file)
     tmp = path.with_suffix(f".tmp.{os.getpid()}")
     try:
         _write_text_durable(tmp, text)

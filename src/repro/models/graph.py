@@ -15,7 +15,7 @@ shared cache (Section III-C2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from ..errors import ModelGraphError
 from .layers import LayerSpec
@@ -133,9 +133,16 @@ class ModelGraph:
 
     def last_use(self, producer: int) -> int:
         """Index of the last layer that reads layer ``producer``'s output."""
-        consumers = self.skip_consumers(producer)
-        direct = producer + 1 if producer + 1 < len(self.layers) else producer
-        return max([direct] + consumers)
+        return self.last_uses()[producer]
+
+    def last_uses(self) -> List[int]:
+        """:meth:`last_use` of every layer, in one O(layers + edges) pass."""
+        n = len(self.layers)
+        last = [min(i + 1, n - 1) for i in range(n)]
+        for edge in self.skip_edges:
+            if edge.consumer > last[edge.producer]:
+                last[edge.producer] = edge.consumer
+        return last
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -189,6 +196,13 @@ def segment_into_blocks(
     within ``max_intermediate_bytes`` and the block does not cross a skip
     edge boundary in a way that would leave a producer un-cached.
 
+    A block's peak is measured *during* each layer's execution: the
+    outputs of earlier in-block layers still needed at or after layer
+    ``i`` (which includes layer ``i``'s direct input) plus layer ``i``'s
+    own output if it stays in-block (the tail layer's output streams to
+    DRAM under LBM).  The scan carries that live set forward layer by
+    layer, so planning is linear in layers plus skip edges.
+
     Args:
         graph: the model to segment.
         max_intermediate_bytes: cache budget a block may pin.
@@ -200,39 +214,29 @@ def segment_into_blocks(
     if max_intermediate_bytes <= 0:
         raise ModelGraphError("max_intermediate_bytes must be positive")
 
+    last = graph.last_uses()
+    outputs = [layer.output_elems for layer in graph.layers]
     blocks: List[LayerBlock] = []
     start = 0
-    n = len(graph.layers)
-    for i in range(n):
-        peak = _block_peak(graph, start, i + 1, dtype_bytes)
-        block_len = i - start + 1
-        if peak > max_intermediate_bytes and block_len > 1:
-            # Close the block before this layer and restart.
-            prev_peak = _block_peak(graph, start, i, dtype_bytes)
-            blocks.append(LayerBlock(start, i, prev_peak // dtype_bytes))
+    # Elements (not bytes): ``carried`` is what earlier in-block layers
+    # keep live at layer i, ``interior_peak`` the peak over the block's
+    # non-tail layers, ``block_peak`` the peak of the block so far, and
+    # ``expiring[j]`` what stops being live after layer j.
+    carried = interior_peak = block_peak = 0
+    expiring: Dict[int, int] = {}
+    for i, out in enumerate(outputs):
+        # Peak of the block [start, i + 1), with layer i as its tail.
+        peak = max(interior_peak, carried)
+        if peak * dtype_bytes > max_intermediate_bytes and i > start:
+            # Close the block before this layer and restart at it.
+            blocks.append(LayerBlock(start, i, block_peak))
             start = i
-    blocks.append(
-        LayerBlock(start, n, _block_peak(graph, start, n, dtype_bytes)
-                   // dtype_bytes)
-    )
+            peak = carried = interior_peak = 0
+            expiring = {}
+        block_peak = peak
+        # Layer i stops being the tail: its output joins the live set.
+        interior_peak = max(interior_peak, carried + out)
+        expiring[last[i]] = expiring.get(last[i], 0) + out
+        carried += out - expiring.pop(i, 0)
+    blocks.append(LayerBlock(start, len(outputs), block_peak))
     return blocks
-
-
-def _block_peak(
-    graph: ModelGraph, start: int, end: int, dtype_bytes: int
-) -> int:
-    """Peak live intermediate footprint (bytes) of layers [start, end).
-
-    Measured *during* each layer's execution: the outputs of earlier
-    in-block layers still needed at or after layer ``i`` (which includes
-    layer ``i``'s direct input) plus layer ``i``'s own output if it stays
-    in-block (the tail layer's output streams to DRAM under LBM).
-    """
-    peak = 0
-    for i in range(start, end):
-        live = graph.layers[i].output_elems if i < end - 1 else 0
-        for j in range(start, i):
-            if graph.last_use(j) >= i and graph.layers[j].output_elems:
-                live += graph.layers[j].output_elems
-        peak = max(peak, live * dtype_bytes)
-    return peak

@@ -202,7 +202,7 @@ class TestBadInputs:
 class TestMain:
     def test_manifest_covers_all_benches(self):
         assert set(check_regression.MANIFEST) == \
-            {"engine", "scenario", "allocator", "fleet"}
+            {"engine", "scenario", "allocator", "fleet", "mapper"}
         for spec in check_regression.MANIFEST.values():
             baseline = (
                 Path(check_regression.BASELINE_DIR) / spec.baseline
@@ -238,3 +238,44 @@ class TestMain:
         ])
         assert code == 1
         assert "REGRESSED" in capsys.readouterr().out
+
+
+def _mapper_doc(rates):
+    return {
+        "meta": {"repeats": 1},
+        "socs": {
+            name: {"models": 8, "wall_s": 8 / rate, "models_per_s": rate,
+                   "counters": {"tiles_evaluated": 36903}}
+            for name, rate in rates.items()
+        },
+    }
+
+
+class TestMapperEntry:
+    def test_mapper_rows_are_gated(self, bench_dirs):
+        current, baseline = bench_dirs
+        _write(current / "BENCH_mapper.json",
+               _mapper_doc({"table2-16MiB": 10.0, "2MiB": 40.0}))
+        _write(baseline / "BENCH_mapper.baseline.json",
+               _mapper_doc({"table2-16MiB": 30.0, "2MiB": 40.0}))
+        failures = check_regression.check_bench(
+            "mapper", 0.30, current_dir=current, baseline_dir=baseline
+        )
+        assert len(failures) == 1
+        assert failures[0].startswith("mapper/table2-16MiB: 10 models/s")
+
+    def test_bench_output_matches_committed_baseline_rows(
+        self, tmp_path, monkeypatch
+    ):
+        """A real (one-pass) bench run yields every baseline row in the
+        shape the manifest reads; tolerance 1.0 gates structure only."""
+        monkeypatch.setenv("REPRO_MAPPING_CACHE_DIR", "")
+        monkeypatch.syspath_prepend(str(check_regression.BASELINE_DIR))
+        import bench_mapper
+
+        assert bench_mapper.main(
+            ["--repeats", "1", "--out", str(tmp_path / "BENCH_mapper.json")]
+        ) == 0
+        assert check_regression.check_bench(
+            "mapper", 1.0, current_dir=tmp_path
+        ) == []

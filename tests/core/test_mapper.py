@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import KiB, MiB, NPUConfig, SoCConfig
+from repro.core import prepared
 from repro.core.mapper.dram_model import (
     TilingChoice,
     dram_traffic_bytes,
@@ -14,7 +15,11 @@ from repro.core.mapper.dram_model import (
 from repro.core.mapper.heuristics import HeuristicRules
 from repro.core.mapper.layer_mapper import DEFAULT_USAGE_LEVELS, LayerMapper
 from repro.core.mapper.loopnest import GEMMShape, tile_candidates, trip_count
-from repro.core.mapper.solver import SubspaceSolver
+from repro.core.mapper.solver import COUNTERS as SOLVER_COUNTERS
+from repro.core.mapper.solver import SolvedMapping, SubspaceSolver
+from repro.core.prepared import clear_prepared_caches, mapper_counters
+from repro.errors import MappingError
+from repro.experiments.fig7_speedup import SPEEDUP_WORKLOAD
 from repro.models.layers import conv2d, matmul
 from repro.models.zoo import build_model
 
@@ -118,23 +123,16 @@ class TestHeuristics:
     def test_tile_space_prunes(self):
         rules = HeuristicRules(npu=NPUConfig())
         shape = GEMMShape(m=4096, n=4096, k=4096)
-        list(rules.tile_space(shape))
-        stats = rules.stats
-        assert stats["tile_space_kept"] < stats["tile_space_total"]
-
-    def test_zero_budget_only_empty_pinning(self):
-        rules = HeuristicRules(npu=NPUConfig())
-        shape = GEMMShape(m=256, n=256, k=256)
-        subspaces = rules.subspaces(shape, usage_limit_bytes=0)
-        assert all(not s.pinned for s in subspaces)
+        total = len(tile_candidates(4096, 32)) ** 3
+        assert 0 < len(rules.tile_space(shape)) < total
 
     def test_dominated_pins_dropped(self):
         rules = HeuristicRules(npu=NPUConfig())
-        shape = GEMMShape(m=256, n=256, k=256)
-        subspaces = rules.subspaces(shape, usage_limit_bytes=MiB)
+        never_refetched = {"m": "weight", "n": "input", "k": "output"}
+        subspaces = rules.subspaces()
+        assert len(subspaces) == 12
         for s in subspaces:
-            if s.innermost == "m":
-                assert "weight" not in s.pinned
+            assert never_refetched[s.innermost] not in s.pinned
 
 
 class TestSolver:
@@ -181,6 +179,138 @@ class TestSolver:
         solved = solver.solve(shape, 512 * KiB)
         assert solved.dram_bytes > 0
         assert solved.scratchpad_bytes <= 256 * KiB
+
+
+def _oracle_solve(npu, dtype, shape, limit, lbm_input, lbm_output):
+    """Reference solver: every tile of every subspace admitted at
+    ``limit``, costed one by one with the per-choice cost model, keeping
+    the first strictly better (dram, cache, scratchpad) triple."""
+    rules = HeuristicRules(npu=npu, dtype_bytes=dtype)
+    sizes = {"weight": shape.weight_elems * dtype,
+             "input": shape.input_elems * dtype,
+             "output": shape.output_elems * dtype}
+    best = None
+    for subspace in rules.subspaces():
+        if sum(sizes[t] for t in subspace.pinned) > limit:
+            continue
+        for tm, tn, tk in rules.tile_space(shape):
+            choice = TilingChoice(
+                tm=tm, tn=tn, tk=tk, innermost=subspace.innermost,
+                pinned=subspace.pinned, lbm_input=lbm_input,
+                lbm_output=lbm_output,
+            )
+            cache = pinned_cache_bytes(shape, choice, dtype)
+            if cache > limit:
+                continue
+            candidate = SolvedMapping(
+                choice=choice,
+                dram_bytes=dram_traffic_bytes(shape, choice, dtype),
+                cache_bytes=cache,
+                scratchpad_bytes=scratchpad_bytes(choice, dtype),
+            )
+            if best is None or SubspaceSolver._better(candidate, best):
+                best = candidate
+    if best is None:
+        raise MappingError(f"no feasible mapping for GEMM {shape} at "
+                           f"{limit} B cache")
+    return best
+
+
+_ORACLE_NPUS = (NPUConfig(), NPUConfig(pe_rows=16, pe_cols=16,
+                                       scratchpad_bytes=64 * KiB))
+
+
+@st.composite
+def _gemm_shapes(draw):
+    """Plain, grouped (attention-head) and conv/attention footprints."""
+    m = draw(st.integers(1, 4096))
+    n = draw(st.integers(1, 4096))
+    k = draw(st.integers(1, 4096))
+    groups = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(("dense", "conv", "attention")))
+    if kind == "dense":
+        return GEMMShape(m=m, n=n, k=k, groups=groups)
+    if kind == "conv":
+        # im2col: the true activation is smaller than the GEMM operand.
+        kernel = draw(st.sampled_from((1, 3, 5, 7)))
+        return GEMMShape(m=m, n=n, k=k * kernel * kernel,
+                         input_elems=max(m * k, 1))
+    # Weightless matmul: the stationary operand plays the weight role.
+    return GEMMShape(m=m, n=n, k=k, groups=groups,
+                     weight_elems=groups * k * n,
+                     input_elems=groups * m * k)
+
+
+class TestSolverOracle:
+    @given(
+        shape=_gemm_shapes(),
+        limit=st.one_of(st.just(0), st.integers(0, 64 * MiB),
+                        st.sampled_from(DEFAULT_USAGE_LEVELS)),
+        lbm_input=st.booleans(),
+        lbm_output=st.booleans(),
+        npu=st.sampled_from(_ORACLE_NPUS),
+        dtype=st.sampled_from((1, 2)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_solve_matches_per_tile_enumeration(
+        self, shape, limit, lbm_input, lbm_output, npu, dtype
+    ):
+        solver = SubspaceSolver(npu, dtype)
+        try:
+            expected = _oracle_solve(npu, dtype, shape, limit, lbm_input,
+                                     lbm_output)
+        except MappingError as exc:
+            with pytest.raises(MappingError) as raised:
+                solver.solve(shape, limit, lbm_input, lbm_output)
+            assert str(raised.value) == str(exc)
+            return
+        solved = solver.solve(shape, limit, lbm_input, lbm_output)
+        assert solved == expected
+        assert repr(solved.dram_bytes) == repr(expected.dram_bytes)
+
+    def test_every_usage_level_reuses_one_table(self, monkeypatch):
+        monkeypatch.setattr(SubspaceSolver, "_SOLVE_CACHE", {})
+        for counter in SOLVER_COUNTERS:
+            monkeypatch.setitem(SOLVER_COUNTERS, counter, 0)
+        solver = SubspaceSolver(NPUConfig())
+        shape = GEMMShape.of(matmul("m", 512, 2048, 1024))
+        for level in DEFAULT_USAGE_LEVELS:
+            solver.solve(shape, level)
+        tiles = len(solver.rules.tile_space(shape))
+        assert SOLVER_COUNTERS == {
+            "shapes_tabulated": 1,
+            "tiles_evaluated": 3 * tiles,
+            "solve_memo_hits": len(DEFAULT_USAGE_LEVELS) - 1,
+            "solve_memo_misses": 1,
+        }
+
+
+class TestMapperCounters:
+    def test_cold_fig7_mapping_work_is_bounded(self, monkeypatch):
+        """The eight Fig. 7 models, mapped cold on the Table II SoC.
+
+        Re-enumerating every tile of every subspace at every usage level
+        evaluated 400,891 tiles; solving each subspace once per shape
+        must stay well under a fifth of that.
+        """
+        monkeypatch.setenv("REPRO_MAPPING_CACHE_DIR", "")
+        monkeypatch.setattr(prepared, "_MODEL_CACHE", {})
+        monkeypatch.setattr(LayerMapper, "_SHARED_CACHE", {})
+        monkeypatch.setattr(SubspaceSolver, "_SOLVE_CACHE", {})
+        for counter in SOLVER_COUNTERS:
+            monkeypatch.setitem(SOLVER_COUNTERS, counter, 0)
+        for key in dict.fromkeys(SPEEDUP_WORKLOAD):
+            prepared.prepare_model(key, SoCConfig())
+        counters = mapper_counters()
+        assert 0 < counters["tiles_evaluated"] <= 400_891 // 5
+        assert counters["shapes_tabulated"] == \
+            counters["solve_memo_misses"]
+        assert counters["solve_memo_hits"] > counters["solve_memo_misses"]
+
+    def test_clear_prepared_caches_resets_counters(self):
+        prepared.prepare_model("MB.", SoCConfig())
+        clear_prepared_caches()
+        assert set(mapper_counters().values()) == {0}
 
 
 class TestLayerMapper:

@@ -1,11 +1,16 @@
 """Tests for model graphs, skip edges and layer-block segmentation."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.config import MiB
 from repro.errors import ModelGraphError
-from repro.models.graph import ModelGraph, SkipEdge, segment_into_blocks
+from repro.models.graph import (
+    LayerBlock,
+    ModelGraph,
+    SkipEdge,
+    segment_into_blocks,
+)
 from repro.models.layers import elementwise, matmul
 
 
@@ -119,6 +124,68 @@ class TestBlockSegmentation:
         assert blocks[-1].end == n_layers
         for prev, cur in zip(blocks, blocks[1:]):
             assert prev.end == cur.start
+
+
+def _reference_blocks(graph, budget, dtype_bytes):
+    """The quadratic-per-step planner: re-measure the whole block's live
+    set from scratch for every candidate end."""
+
+    def peak(start, end):
+        best = 0
+        for i in range(start, end):
+            live = graph.layers[i].output_elems if i < end - 1 else 0
+            for j in range(start, i):
+                if graph.last_use(j) >= i:
+                    live += graph.layers[j].output_elems
+            best = max(best, live * dtype_bytes)
+        return best
+
+    blocks, start, n = [], 0, len(graph.layers)
+    for i in range(n):
+        if peak(start, i + 1) > budget and i > start:
+            blocks.append(LayerBlock(start, i,
+                                     peak(start, i) // dtype_bytes))
+            start = i
+    blocks.append(LayerBlock(start, n, peak(start, n) // dtype_bytes))
+    return blocks
+
+
+@st.composite
+def _skip_graphs(draw):
+    n = draw(st.integers(1, 24))
+    layers = tuple(
+        matmul(f"l{i}", draw(st.integers(1, 64)), draw(st.integers(1, 64)),
+               8)
+        for i in range(n)
+    )
+    edges = ()
+    if n > 2:
+        pairs = st.tuples(st.integers(0, n - 3), st.integers(2, n - 1))
+        edges = tuple(
+            SkipEdge(p, max(c, p + 2))
+            for p, c in draw(st.lists(pairs, max_size=8))
+            if max(c, p + 2) < n
+        )
+    return ModelGraph(name="g", abbr="G.", layers=layers, skip_edges=edges)
+
+
+class TestLinearBlockPlanner:
+    @given(graph=_skip_graphs(), budget=st.integers(1, 20000),
+           dtype_bytes=st.sampled_from((1, 2)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_planner(self, graph, budget, dtype_bytes):
+        assert segment_into_blocks(graph, budget, dtype_bytes) == \
+            _reference_blocks(graph, budget, dtype_bytes)
+
+    def test_last_uses_matches_last_use(self, suite):
+        for graph in suite:
+            last = graph.last_uses()
+            for j in range(len(graph.layers)):
+                consumers = [e.consumer for e in graph.skip_edges
+                             if e.producer == j]
+                direct = min(j + 1, len(graph.layers) - 1)
+                assert last[j] == max([direct] + consumers)
+                assert graph.last_use(j) == last[j]
 
 
 class TestBenchmarkGraphs:

@@ -11,13 +11,22 @@ metrics are asserted byte-identical before any number is reported (the
 committed reference suite pins absolute values; this guards in-run
 determinism).
 
+Each row also records, from ``SimulationResult.run_stats``, the share
+of layer completions the native completion chain handled in C and the
+native calls that returned for lack of a chain (``no_tables``).  Every
+shipped policy has a chain, so a paper-policy row with a ``no_tables``
+exit fails the run (exit status 1): a chain that silently disengages
+is a deterministic count, not a timing, and must not pass as noise.
+The synthetic rows are custom policies without a chain.
+
 Emits ``BENCH_engine.json``::
 
     {
       "meta": {...},
       "policies": {
         "<name>": {
-          "kernel": {"events": N, "wall_s": t, "events_per_s": r}
+          "kernel": {"events": N, "wall_s": t, "events_per_s": r,
+                     "completions_c_share": s, "no_tables_exits": k}
         }, ...
       }
     }
@@ -25,7 +34,7 @@ Emits ``BENCH_engine.json``::
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--out BENCH_engine.json]
-    python benchmarks/check_engine_regression.py  # CI guard (>30% drop)
+    python benchmarks/check_regression.py engine  # CI guard (>30% drop)
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import json
 import platform
 import sys
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.config import SoCConfig
 from repro.core.prepared import prepare_workload
@@ -65,6 +74,9 @@ REAL_DURATION_S = 0.08
 REAL_KEYS = ("RS.", "MB.", "EF.", "VT.") * 2
 
 REAL_POLICIES = ("baseline", "moca", "aurora", "camdn-hw", "camdn-full")
+
+#: Custom test policies (no native completion chain).
+SYNTHETIC_POLICIES = ("synthetic-static", "synthetic-dynamic")
 
 #: QoS rows: same workload with finite deadlines (``QOS_SCALE`` ×
 #: per-model targets), mapped to the scheduler that exercises each fused
@@ -176,7 +188,7 @@ def _run_once(policy_name: str, graph: Optional[ModelGraph],
 def bench_policy(policy_name: str, repeats: int = 3,
                  use_native: Optional[bool] = None) -> Dict:
     """Best-of-N kernel runs; asserts run-to-run byte-identity."""
-    graph = synthetic_graph() if policy_name.startswith("synthetic") \
+    graph = synthetic_graph() if policy_name in SYNTHETIC_POLICIES \
         else None
     best = None
     result = None
@@ -194,13 +206,29 @@ def bench_policy(policy_name: str, repeats: int = 3,
         raise AssertionError(
             f"{policy_name}: repeated engine runs diverge"
         )
+    stats = result.run_stats
+    completions = stats["completions_c"] + stats["completions_python"]
     return {
         "kernel": {
             "events": result.events_processed,
             "wall_s": best,
             "events_per_s": result.events_processed / best,
+            "completions_c_share": stats["completions_c"] / completions,
+            "no_tables_exits": stats["native_exits"]["no_tables"],
         },
     }
+
+
+def chain_gate_failures(report: Dict) -> List[str]:
+    """Shipped-policy rows whose native calls exited for lack of a
+    completion chain (``no_tables``); the synthetic rows are exempt."""
+    return [
+        f"{name}: {row['kernel']['no_tables_exits']} no_tables exits "
+        f"(completion chain disengaged)"
+        for name, row in report["policies"].items()
+        if name not in SYNTHETIC_POLICIES
+        and row["kernel"]["no_tables_exits"]
+    ]
 
 
 def main(argv=None) -> int:
@@ -220,8 +248,7 @@ def main(argv=None) -> int:
     else:
         native.fused_step()          # trigger the load outside timing
         native_note = native.native_status()
-    policies = ("synthetic-static", "synthetic-dynamic") \
-        + REAL_POLICIES + tuple(QOS_POLICIES)
+    policies = SYNTHETIC_POLICIES + REAL_POLICIES + tuple(QOS_POLICIES)
     report = {
         "meta": {
             "streams": NUM_STREAMS,
@@ -235,14 +262,19 @@ def main(argv=None) -> int:
         entry = bench_policy(name, repeats=args.repeats,
                              use_native=use_native)
         report["policies"][name] = entry
+        kernel = entry["kernel"]
         print(
-            f"{name:<18} kernel {entry['kernel']['events_per_s']:>12,.0f}"
-            f" ev/s  ({entry['kernel']['events']:,} events)"
+            f"{name:<18} kernel {kernel['events_per_s']:>12,.0f}"
+            f" ev/s  ({kernel['events']:,} events, "
+            f"{kernel['completions_c_share']:.1%} completions in C)"
         )
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
     print(f"wrote {args.out}")
-    return 0
+    failures = chain_gate_failures(report)
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -174,6 +174,38 @@ class SchedulerPolicy(abc.ABC):
         """The instance finished its last layer and releases its cores."""
 
     # ------------------------------------------------------------------
+    # Native completion chain
+    # ------------------------------------------------------------------
+
+    def native_chain(self) -> Optional[tuple]:
+        """Inputs of the native completion chain (the ``chain`` argument
+        of :func:`repro.sim.native.fused_step`), or ``None`` when the
+        chain must not engage (the default: every event with layer
+        completions then returns to the engine's Python loop).
+
+        A chain handles a completion in C instead of calling the
+        policy's per-layer hooks, so a policy offers one only while
+        :meth:`_hooks_unwrapped` holds for the hooks it replaces.  The
+        engine reads this once per native call; the returned tables
+        must stay valid until the call returns (no Python hook runs
+        inside it).
+        """
+        return None
+
+    def _hooks_unwrapped(self, owner: type, *names: str) -> bool:
+        """Whether each hook in ``names`` is ``owner``'s own method:
+        neither overridden by a subclass nor shadowed on the instance
+        (a per-instance wrapper, such as a profiler's).  A native chain
+        that replaces those hooks engages only while this holds, so
+        anything that wants to see the calls still sees every one."""
+        cls = type(self)
+        for name in names:
+            if getattr(cls, name) is not getattr(owner, name) or \
+                    name in self.__dict__:
+                return False
+        return True
+
+    # ------------------------------------------------------------------
     # Bandwidth
     # ------------------------------------------------------------------
 
@@ -227,10 +259,16 @@ class SchedulerPolicy(abc.ABC):
 
     def compute_cycles(self, instance: TaskInstance) -> float:
         """Cycles of the current layer on the instance's core group."""
-        prepared = self.prepared_for(instance.graph)
-        cycles = prepared.layer_cycles[instance.layer_index]
-        if instance.cores > 1:
-            speedup = 1.0 + PARALLEL_EFFICIENCY * (instance.cores - 1)
+        return self.layer_compute_cycles(
+            instance.graph, instance.layer_index, instance.cores
+        )
+
+    def layer_compute_cycles(self, graph: ModelGraph, layer_index: int,
+                             cores: int) -> float:
+        """Cycles of ``graph``'s layer ``layer_index`` on ``cores``."""
+        cycles = self.prepared_for(graph).layer_cycles[layer_index]
+        if cores > 1:
+            speedup = 1.0 + PARALLEL_EFFICIENCY * (cores - 1)
             cycles = cycles / speedup
         return float(cycles)
 

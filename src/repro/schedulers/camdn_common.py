@@ -337,26 +337,24 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         return self._grant_to_work(instance, grant)
 
     def native_chain(self) -> Optional[tuple]:
-        """Inputs of the native completion chain (the ``chain`` argument
-        of :func:`repro.sim.native.fused_step`), or ``None`` when the
-        chain must not engage.
+        """The CaMDN chain: the scheduler, its per-mapping-file decision
+        tables and the allocator view the C selection reads.
 
-        The C chain replaces :meth:`advance_layer` calls, so it engages
-        only while that hook is this class's own, unwrapped method: an
-        override or a per-instance wrapper still sees every completion.
+        The chain replaces :meth:`advance_layer` calls, so it engages
+        only while that hook is unwrapped (see
+        :meth:`~repro.schedulers.base.SchedulerPolicy._hooks_unwrapped`).
         Read per native call — the allocator's page sum and the HW-only
         share change between batches.
         """
-        if self._advance_native is None or \
-                type(self).advance_layer is not \
-                CaMDNSchedulerBase.advance_layer or \
-                "advance_layer" in self.__dict__:
+        if self._advance_native is None or not self._hooks_unwrapped(
+                CaMDNSchedulerBase, "advance_layer"):
             return None
         alloc = self._alloc
         return (
-            self, self._fast_files, alloc._tnext, alloc._pnext,
-            alloc._palloc, alloc.total_pages, alloc._palloc_sum,
-            1 if self._sys_hw is not None else 0, self.system._share,
+            _native.CHAIN_CAMDN, self, self._fast_files, alloc._tnext,
+            alloc._pnext, alloc._palloc, alloc.total_pages,
+            alloc._palloc_sum, 1 if self._sys_hw is not None else 0,
+            self.system._share,
         )
 
     def timeout_layer(self, instance: TaskInstance, now: float

@@ -12,6 +12,15 @@ exclusive region, the baseline trusts the transparent cache: refetches have
 short reuse distances (the layer's working set) and hit when the machine is
 lightly loaded, then spill to DRAM as co-tenants inflate stack distances —
 the mechanism behind Figure 2's memory-access growth.
+
+Layer cost is a pure function of (model, layer, contention factor,
+core count), and the contention factor — the number of running
+inferences — changes only when a task starts or ends.  The policy keeps
+one work table per (model, contention factor, core count), built whole
+on first use, and hands the current factor's tables to the engine's
+native completion chain (:meth:`SharedCacheBaseline.native_chain`): C
+then installs each next layer's work itself, and a completion returns
+to Python only at an inference's end or for a table not built yet.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from typing import Dict, Optional, Tuple
 from ..cache.transparent import AccessSegment, TransparentCacheModel
 from ..config import SoCConfig
 from ..models.graph import ModelGraph
+from ..sim import native as _native
 from ..sim.task import LayerWork, TaskInstance
 from .base import SchedulerPolicy
 
@@ -44,10 +54,10 @@ class SharedCacheBaseline(SchedulerPolicy):
         super().__init__()
         self._cache_model: Optional[TransparentCacheModel] = None
         self._active_ids: set = set()
-        # Layer cost is a pure function of (model, layer, contention
-        # factor, core count); the same layers recur once per inference,
-        # so the engine's steady state is served from this memo.
-        self._work_memo: Dict[tuple, LayerWork] = {}
+        #: contention factor -> {(graph name, cores): work table}; see
+        #: _build_work_table.  The one layer-work memo: begin_layer and
+        #: the native chain install the same LayerWork objects.
+        self._work_tables: Dict[float, Dict[tuple, tuple]] = {}
         #: Tenants currently admitted (dynamic-tenancy bookkeeping).
         self._tenants: Dict[str, ModelGraph] = {}
         self._tenant_admits = 0
@@ -57,7 +67,7 @@ class SharedCacheBaseline(SchedulerPolicy):
         super().attach(soc)
         self._cache_model = TransparentCacheModel(soc.cache.total_bytes)
         self._active_ids = set()
-        self._work_memo = {}
+        self._work_tables = {}
         self._tenants = {}
         self._tenant_admits = 0
         self._tenant_retires = 0
@@ -85,7 +95,7 @@ class SharedCacheBaseline(SchedulerPolicy):
         }
 
     def snapshot_state(self) -> dict:
-        # _cache_model and _work_memo are pure (capacity constant /
+        # _cache_model and _work_tables are pure (capacity constant /
         # value memo) and rebuilt by attach(); only the tenant and
         # running-set bookkeeping is genuine run state.
         state = super().snapshot_state()
@@ -137,26 +147,66 @@ class SharedCacheBaseline(SchedulerPolicy):
     def begin_layer(self, instance: TaskInstance, now: float
                     ) -> Tuple[Optional[LayerWork], float]:
         factor = self.contention_factor(instance)
-        key = (instance.graph.name, instance.layer_index, factor,
-               instance.cores)
-        work = self._work_memo.get(key)
-        if work is not None:
-            return work, 0.0
-        segments = self._model_segments(
-            instance.graph
-        )[instance.layer_index]
-        dram, hits, accesses = self._cache_model.layer_traffic(
-            segments, contention_factor=factor
-        )
-        if instance.cores > 1:
-            replication = 1.0 + CORE_TRAFFIC_REPLICATION * \
-                (instance.cores - 1)
-            dram *= replication
-        work = LayerWork(
-            compute_cycles=self.compute_cycles(instance),
-            dram_bytes=dram,
-            hit_bytes=hits,
-            access_bytes=accesses,
-        )
-        self._work_memo[key] = work
-        return work, 0.0
+        tables = self._factor_tables(factor)
+        graph = instance.graph
+        table = tables.get((graph.name, instance.cores))
+        if table is None:
+            table = self._build_work_table(tables, factor, graph,
+                                           instance.cores)
+        return table[instance.layer_index][0], 0.0
+
+    def native_chain(self) -> Optional[tuple]:
+        """The shared-cache chain: the current contention factor's work
+        tables, keyed by ``(graph name, cores)``.
+
+        The factor only moves in :meth:`on_task_start` /
+        :meth:`on_task_end`, which run in Python between native calls,
+        so one factor holds for a whole call.  The chain replaces
+        :meth:`begin_layer` and :meth:`on_layer_end` calls and bakes in
+        :meth:`contention_factor`, so it engages only while those three
+        are unwrapped (see
+        :meth:`~repro.schedulers.base.SchedulerPolicy._hooks_unwrapped`).
+        """
+        if not self._hooks_unwrapped(SharedCacheBaseline, "begin_layer",
+                                     "on_layer_end", "contention_factor"):
+            return None
+        # The unwrapped contention_factor ignores its instance argument.
+        return (_native.CHAIN_SHARED_CACHE,
+                self._factor_tables(self.contention_factor(None)))
+
+    def _factor_tables(self, factor: float) -> Dict[tuple, tuple]:
+        """The work tables of one contention factor (created empty)."""
+        tables = self._work_tables.get(factor)
+        if tables is None:
+            tables = self._work_tables[factor] = {}
+        return tables
+
+    def _build_work_table(self, tables: Dict[tuple, tuple],
+                          factor: float, graph: ModelGraph,
+                          cores: int) -> tuple:
+        """Build, store in ``tables`` (the tables of ``factor``) and
+        return ``graph``'s work table on ``cores``: one
+        ``(work, compute, dram, hit, access)`` entry per layer, the
+        LayerWork followed by its four floats for the native chain.
+
+        Built whole on first use, so the native chain leaves C at most
+        once per (model, factor, cores) to have a table built."""
+        traffic = self._cache_model.layer_traffic
+        rows = []
+        for i, segments in enumerate(self._model_segments(graph)):
+            dram, hits, accesses = traffic(segments,
+                                           contention_factor=factor)
+            if cores > 1:
+                replication = 1.0 + CORE_TRAFFIC_REPLICATION * \
+                    (cores - 1)
+                dram *= replication
+            compute = self.layer_compute_cycles(graph, i, cores)
+            work = LayerWork(
+                compute_cycles=compute,
+                dram_bytes=dram,
+                hit_bytes=hits,
+                access_bytes=accesses,
+            )
+            rows.append((work, compute, dram, hits, accesses))
+        table = tables[(graph.name, cores)] = tuple(rows)
+        return table

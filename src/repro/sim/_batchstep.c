@@ -5,12 +5,15 @@
  * arrays (the dynamic rate modes), finds the next event time (min over
  * per-instance completion times, clamped by the next wakeup, timeline
  * or fault instant), drains the fluid work and collects the finished
- * positions.  For the CaMDN policies it then handles each finished
- * layer itself — Algorithm 1's end-of-layer update and next-layer
- * selection, the no-resize grant, the memoized work entry, the
- * account_layer sums and the install of the next layer's work — and
- * steps on.  It returns to the Python batch loop only where that loop
- * has work of its own (see the EXIT_* reasons below).
+ * positions.  With the tables of the policy's completion chain it then
+ * handles each finished layer itself — a per-kind lookup of the next
+ * layer (CaMDN: Algorithm 1's end-of-layer update and next-layer
+ * selection, the no-resize grant and the memoized work entry; the
+ * transparent-cache policies: the contention factor's work table),
+ * then one shared install of the account_layer sums and the next
+ * layer's work — and steps on.  It returns to the Python batch loop
+ * only where that loop has work of its own (see the EXIT_* reasons
+ * below).
  *
  * Bit-identity contract
  * ---------------------
@@ -73,11 +76,13 @@
 enum {
     EXIT_INFERENCE_END,  /* a finished layer was its inference's last */
     EXIT_ADVANCE_BAIL,   /* the C selection or grant check bailed */
-    EXIT_MEMO_MISS,      /* no decision table or work entry yet */
+    EXIT_MEMO_MISS,      /* no decision table, work entry or work
+                          * table yet */
     EXIT_WAITING_SET,    /* completions done; Python polls the waiters */
     EXIT_BOUNDARY,       /* a wakeup, timeline or fault instant is due */
     EXIT_EVENT_BUDGET,   /* max_events reached */
-    EXIT_NO_TABLES,      /* the policy has no completion chain */
+    EXIT_NO_TABLES,      /* the policy has no completion chain
+                          * (custom or test policies) */
     EXIT_STEP_BAIL,      /* rate inputs outside the fast path, or a
                           * non-finite/negative step */
     N_EXITS
@@ -91,10 +96,10 @@ enum {
 #define N_COUNTERS (CTR_PY_COMPLETIONS + N_EXITS)
 
 /* Interned attribute names of the objects the completion chain reads
- * and writes (TaskInstance, TaskState, CacheRegion, LayerWork and the
- * scheduler's LBM counter). */
+ * and writes (TaskInstance, TaskState, CacheRegion, LayerWork,
+ * ModelGraph and the scheduler's LBM counter). */
 static PyObject *s_pcpns, *s_dram_bytes, *s_hit_bytes, *s_access_bytes;
-static PyObject *s_lbm_layers, *s_graph, *s_layers;
+static PyObject *s_lbm_layers, *s_name, *s_layers;
 static PyObject *f_inf, *i_one;
 
 static int
@@ -727,7 +732,7 @@ camdn_advance(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 enum {
     I_SCHED_CTX, I_LAYER_INDEX, I_CORES, I_WORK, I_DRAM_TOTAL,
     I_HIT_TOTAL, I_ACCESS_TOTAL, I_LAYERS_EXECUTED, I_SCHED_SCRATCH,
-    I_REM_COMPUTE, I_REM_DRAM, I_WAKE_TIME, N_INST_SLOTS
+    I_REM_COMPUTE, I_REM_DRAM, I_WAKE_TIME, I_GRAPH, N_INST_SLOTS
 };
 /* TaskState slots. */
 enum { S_MAPPING_FILE, S_SLOT, S_LBM_BLOCK, N_STATE_SLOTS };
@@ -798,26 +803,55 @@ slot_set(PyObject *obj, const SlotMap *map, int k, PyObject *v)
     Py_XDECREF(old);
 }
 
-/* Per-call memo of the last few mapping files' decision tables: the
- * same handful of models complete over and over inside one call. */
-#define FT_CACHE 8
+/* Completion-chain kinds (repro.sim.native.CHAIN_*): the first item of
+ * a policy's native_chain() tuple. */
+#define CHAIN_NONE (-1)
+#define CHAIN_CAMDN 0
+#define CHAIN_SHARED_CACHE 1
 
-/* Inputs of the CaMDN completion chain (CaMDNSchedulerBase.
- * native_chain): the scheduler, its per-mapping-file decision tables
- * and the allocator view. */
+/* Per-call memo of the last few tables the chain looked up (a CaMDN
+ * mapping file's decision tables, or a shared-cache policy's work
+ * table for one model and core count): the same handful of models
+ * complete over and over inside one call. */
+#define MEMO_SLOTS 16
+
+/* Inputs of one fused_step call's completion chain (the policy's
+ * native_chain() tuple) plus the per-call lookup memo.
+ *
+ * CHAIN_CAMDN (CaMDNSchedulerBase.native_chain): the scheduler, its
+ * per-mapping-file decision tables and the allocator view.
+ * CHAIN_SHARED_CACHE (SharedCacheBaseline.native_chain): the work
+ * tables of the current contention factor, keyed by
+ * ``(graph name, cores)``. */
 typedef struct {
-    PyObject *sched, *fast_files, *insts, *sl_progress;
+    int kind;
+    PyObject *sched, *fast_files, *work_tables, *insts, *sl_progress;
     AllocView av;
     int slack;
     long lbm;
-    int ft_n;
-    PyObject *ft_mf[FT_CACHE], *ft_tab[FT_CACHE];
+    int memo_n;
+    PyObject *memo_key[MEMO_SLOTS], *memo_val[MEMO_SLOTS];
+    long memo_cores[MEMO_SLOTS];
     /* Per position: the work C installed in this call (borrowed — the
      * instance's work slot holds it) and its dram/hit/access bytes, so
      * the next completion there accounts it without attribute reads. */
     PyObject **ow;
     double *owv;
 } Chain;
+
+/* The next layer of one completion, looked up but not installed. */
+typedef struct {
+    long nxt, nlayers;
+    /* The next layer's LayerWork and its compute/dram floats (borrowed)
+     * and hit/access bytes. */
+    PyObject *work, *cw, *dw;
+    double hit, access;
+    /* CHAIN_CAMDN only: the selection to commit, the task state it
+     * belongs to, the layer's canonical block tuple and memo entry. */
+    Selection sel;
+    long slot, ls, le;
+    PyObject *state, *block, *entry;
+} Next;
 
 /* ``total + v`` with Python's float addition. */
 static PyObject *
@@ -835,17 +869,64 @@ add_float(PyObject *total, double v)
     return sum;
 }
 
+/* The memoized table for (key, cores) (borrowed), or NULL. */
+static PyObject *
+memo_get(const Chain *ch, PyObject *key, long cores)
+{
+    int j;
+    for (j = 0; j < ch->memo_n; j++) {
+        if (ch->memo_key[j] == key && ch->memo_cores[j] == cores) {
+            return ch->memo_val[j];
+        }
+    }
+    return NULL;
+}
+
+/* Remember a table for the rest of the call (its owner dict keeps it
+ * alive: no Python code runs inside fused_step). */
+static void
+memo_put(Chain *ch, PyObject *key, long cores, PyObject *val)
+{
+    if (ch->memo_n < MEMO_SLOTS) {
+        ch->memo_key[ch->memo_n] = key;
+        ch->memo_cores[ch->memo_n] = cores;
+        ch->memo_val[ch->memo_n] = val;
+        ch->memo_n++;
+    }
+}
+
+/* len(inst.graph.layers), or -1 on a Python error. */
+static Py_ssize_t
+graph_layers(PyObject *graph)
+{
+    PyObject *layers = PyObject_GetAttr(graph, s_layers);
+    Py_ssize_t n;
+    if (layers == NULL) {
+        return -1;
+    }
+    n = PyObject_Length(layers);
+    Py_DECREF(layers);
+    return n;
+}
+
+/* The exit for a completion of a model with ``n_layers`` layers whose
+ * tables are missing: Python builds them — unless this was the
+ * inference's last layer. */
+static int
+miss_exit(Py_ssize_t n_layers, long layer_index)
+{
+    return 1 + (layer_index + 1 < n_layers ? EXIT_MEMO_MISS
+                                           : EXIT_INFERENCE_END);
+}
+
 /* The decision tables of mapping file ``mf`` (borrowed), or NULL (no
  * error set) when none is memoized yet. */
 static PyObject *
-chain_tables(Chain *ch, PyObject *mf)
+camdn_tables(Chain *ch, PyObject *mf)
 {
-    PyObject *key, *ft;
-    int j;
-    for (j = 0; j < ch->ft_n; j++) {
-        if (ch->ft_mf[j] == mf) {
-            return ch->ft_tab[j];
-        }
+    PyObject *key, *ft = memo_get(ch, mf, 0);
+    if (ft != NULL) {
+        return ft;
     }
     key = PyLong_FromVoidPtr(mf);  /* id(mf) */
     if (key == NULL) {
@@ -860,54 +941,30 @@ chain_tables(Chain *ch, PyObject *mf)
         !PyList_CheckExact(PyTuple_GET_ITEM(ft, 3))) {
         return NULL;
     }
-    if (ch->ft_n < FT_CACHE) {
-        /* The dict keeps the table alive for the whole call. */
-        ch->ft_mf[ch->ft_n] = mf;
-        ch->ft_tab[ch->ft_n] = ft;
-        ch->ft_n++;
-    }
+    memo_put(ch, mf, 0, ft);
     return ft;
 }
 
-/* Handle the completion of kernel position ``i`` exactly as
- * MultiTenantEngine._process_completions -> CaMDNSchedulerBase.
- * advance_layer -> _apply_grant would: account the finished layer,
- * select and commit the next one, and install its memoized work (in
- * the fluid buffers c/d and, for the slack modes, the progress buffer
- * sp and list).
- *
- * Returns 0 when handled, 1 + EXIT_* when Python must take this
- * completion (nothing mutated), -1 on a Python error. */
+/* CaMDN lookup, as CaMDNSchedulerBase.advance_layer's native branch:
+ * Algorithm 1's end-of-layer update and next-layer selection plus the
+ * no-resize grant check (advance_select), then the memoized
+ * ``(grant, (work, 0.0), is_lbm, work_bytes)`` entry keyed by
+ * ``code * 64 + cores``.  Pure: the selection is committed by
+ * chain_install.  Returns 0 with ``nx`` filled, 1 + EXIT_* for a bail,
+ * -1 on a Python error. */
 static int
-chain_complete(Chain *ch, Py_ssize_t i, double now, double *c,
-               double *d, double *sp)
+camdn_lookup(Chain *ch, PyObject *inst, long layer_index, double now,
+             Next *nx)
 {
-    PyObject *inst = PyList_GET_ITEM(ch->insts, i);
     PyObject *pcpns = NULL, *ckey = NULL;
-    PyObject *od = NULL, *oh = NULL, *oa = NULL;
-    PyObject *nd = NULL, *nh = NULL, *na = NULL, *nl = NULL;
-    PyObject *nxt_o = NULL;
     PyObject *ctx, *state, *region, *mf, *ft, *rows, *pairs, *blocks;
-    PyObject *entry, *pair, *work, *pd, *old, *block, *v, *vals;
-    PyObject *cw, *dw;
-    double *owv = ch->owv + 3 * i;
-    Selection sel;
-    long layer_index, slot, ls = -1, le = -1, cores, nxt, nlayers;
+    PyObject *pd, *entry, *pair, *vals, *v, *block;
     Py_ssize_t region_pages;
+    long cores;
     int rc = -1, r;
 
 #define BAIL(reason) do { rc = 1 + (reason); goto done; } while (0)
-#define GET(var, obj, name) \
-    do { if ((var = PyObject_GetAttr(obj, name)) == NULL) goto done; } \
-    while (0)
 
-    r = slot_map_for(&inst_map, Py_TYPE(inst), inst_names, N_INST_SLOTS);
-    if (r <= 0) {
-        if (r < 0) {
-            goto done;
-        }
-        BAIL(EXIT_ADVANCE_BAIL);
-    }
     ctx = SLOT_GET(inst, inst_map, I_SCHED_CTX);
     if (ctx == NULL || !PyTuple_CheckExact(ctx) ||
         PyTuple_GET_SIZE(ctx) != 2) {
@@ -915,10 +972,6 @@ chain_complete(Chain *ch, Py_ssize_t i, double now, double *c,
     }
     state = PyTuple_GET_ITEM(ctx, 0);
     region = PyTuple_GET_ITEM(ctx, 1);
-    v = SLOT_GET(inst, inst_map, I_LAYER_INDEX);
-    if (v == NULL || obj_long(v, &layer_index) < 0) {
-        BAIL(EXIT_ADVANCE_BAIL);
-    }
     r = slot_map_for(&state_map, Py_TYPE(state), state_names,
                      N_STATE_SLOTS);
     if (r <= 0) {
@@ -931,60 +984,55 @@ chain_complete(Chain *ch, Py_ssize_t i, double now, double *c,
     if (mf == NULL) {
         BAIL(EXIT_ADVANCE_BAIL);
     }
-    ft = chain_tables(ch, mf);
+    ft = camdn_tables(ch, mf);
     if (ft == NULL) {
-        /* No table for this model yet: Python's advance_layer builds
-         * it — unless this was the inference's last layer. */
-        PyObject *graph, *layers;
-        Py_ssize_t n_layers;
+        PyObject *graph = SLOT_GET(inst, inst_map, I_GRAPH);
+        Py_ssize_t n;
         if (PyErr_Occurred()) {
             goto done;
         }
-        GET(graph, inst, s_graph);
-        layers = PyObject_GetAttr(graph, s_layers);
-        Py_DECREF(graph);
-        if (layers == NULL) {
-            goto done;
+        if (graph == NULL) {
+            BAIL(EXIT_ADVANCE_BAIL);
         }
-        n_layers = PyObject_Length(layers);
-        Py_DECREF(layers);
-        if (n_layers < 0) {
-            goto done;
+        if ((n = graph_layers(graph)) >= 0) {
+            rc = miss_exit(n, layer_index);
         }
-        BAIL(layer_index + 1 < n_layers ? EXIT_MEMO_MISS
-                                        : EXIT_INFERENCE_END);
+        goto done;
     }
     rows = PyTuple_GET_ITEM(ft, 1);
     pairs = PyTuple_GET_ITEM(ft, 2);
     blocks = PyTuple_GET_ITEM(ft, 3);
     /* One row per model layer (the mapping file has one MCT per graph
      * layer), so this is the engine's last-layer test. */
-    nlayers = (long)PyList_GET_SIZE(rows);
-    nxt = layer_index + 1;
-    if (nxt >= nlayers) {
+    nx->nlayers = (long)PyList_GET_SIZE(rows);
+    nx->nxt = layer_index + 1;
+    if (nx->nxt >= nx->nlayers) {
         BAIL(EXIT_INFERENCE_END);
     }
-    if (PyList_GET_SIZE(pairs) != nlayers ||
-        PyList_GET_SIZE(blocks) != nlayers) {
+    if (PyList_GET_SIZE(pairs) != nx->nlayers ||
+        PyList_GET_SIZE(blocks) != nx->nlayers) {
         BAIL(EXIT_ADVANCE_BAIL);
     }
 
     v = SLOT_GET(state, state_map, S_SLOT);
-    if (v == NULL || obj_long(v, &slot) < 0) {
+    if (v == NULL || obj_long(v, &nx->slot) < 0) {
         BAIL(EXIT_ADVANCE_BAIL);
     }
+    nx->ls = nx->le = -1;
     block = SLOT_GET(state, state_map, S_LBM_BLOCK);
     if (block == NULL) {
         BAIL(EXIT_ADVANCE_BAIL);
     }
     if (block != Py_None) {
         if (!PyTuple_CheckExact(block) || PyTuple_GET_SIZE(block) != 2 ||
-            tuple_long(block, 0, &ls) < 0 ||
-            tuple_long(block, 1, &le) < 0) {
+            tuple_long(block, 0, &nx->ls) < 0 ||
+            tuple_long(block, 1, &nx->le) < 0) {
             BAIL(EXIT_ADVANCE_BAIL);
         }
     }
-    GET(pcpns, region, s_pcpns);
+    if ((pcpns = PyObject_GetAttr(region, s_pcpns)) == NULL) {
+        goto done;
+    }
     region_pages = PyObject_Length(pcpns);
     if (region_pages < 0) {
         goto done;
@@ -993,19 +1041,17 @@ chain_complete(Chain *ch, Py_ssize_t i, double now, double *c,
     if (v == NULL || obj_long(v, &cores) < 0) {
         BAIL(EXIT_ADVANCE_BAIL);
     }
-    if (!advance_select(&ch->av, slot, now, ls, le, layer_index,
-                        (long)region_pages,
-                        PyList_GET_ITEM(rows, nxt), &sel)) {
+    if (!advance_select(&ch->av, nx->slot, now, nx->ls, nx->le,
+                        layer_index, (long)region_pages,
+                        PyList_GET_ITEM(rows, nx->nxt), &nx->sel)) {
         BAIL(EXIT_ADVANCE_BAIL);
     }
 
-    /* The memoized (grant, (work, 0.0), is_lbm, work_bytes) entry,
-     * keyed like advance_layer's: code * 64 + cores. */
-    pd = PyList_GET_ITEM(pairs, nxt);
+    pd = PyList_GET_ITEM(pairs, nx->nxt);
     if (!PyDict_CheckExact(pd)) {
         BAIL(EXIT_ADVANCE_BAIL);
     }
-    ckey = PyLong_FromLong(sel.code * 64 + cores);
+    ckey = PyLong_FromLong(nx->sel.code * 64 + cores);
     if (ckey == NULL) {
         goto done;
     }
@@ -1025,93 +1071,190 @@ chain_complete(Chain *ch, Py_ssize_t i, double now, double *c,
         !PyTuple_CheckExact(vals) || PyTuple_GET_SIZE(vals) != 4) {
         BAIL(EXIT_ADVANCE_BAIL);
     }
-    work = PyTuple_GET_ITEM(pair, 0);
-    cw = PyTuple_GET_ITEM(vals, 0);
-    dw = PyTuple_GET_ITEM(vals, 1);
-    if (work == Py_None ||
-        !PyFloat_CheckExact(cw) || !PyFloat_CheckExact(dw) ||
+    nx->work = PyTuple_GET_ITEM(pair, 0);
+    nx->cw = PyTuple_GET_ITEM(vals, 0);
+    nx->dw = PyTuple_GET_ITEM(vals, 1);
+    if (nx->work == Py_None ||
+        !PyFloat_CheckExact(nx->cw) || !PyFloat_CheckExact(nx->dw) ||
         !PyFloat_CheckExact(PyTuple_GET_ITEM(vals, 2)) ||
         !PyFloat_CheckExact(PyTuple_GET_ITEM(vals, 3))) {
         /* The fluid lists hold floats only. */
         BAIL(EXIT_ADVANCE_BAIL);
     }
+    nx->hit = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(vals, 2));
+    nx->access = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(vals, 3));
+    nx->state = state;
+    nx->block = PyList_GET_ITEM(blocks, nx->nxt);
+    nx->entry = entry;
+    rc = 0;
 
-    /* account_layer sums for the layer that just finished (computed
-     * before any write, so a failure leaves nothing half-done). */
-    old = SLOT_GET(inst, inst_map, I_WORK);
-    if (old == NULL || old == Py_None) {
-        BAIL(EXIT_ADVANCE_BAIL);
+done:
+#undef BAIL
+    Py_XDECREF(pcpns);
+    Py_XDECREF(ckey);
+    return rc;
+}
+
+/* Shared-cache lookup, as SharedCacheBaseline.begin_layer: entry
+ * ``layer + 1`` of the work table for the instance's model and core
+ * count at the call's contention factor.  A table is a tuple of one
+ * ``(work, compute, dram, hit, access)`` entry per model layer; a
+ * missing table, or one whose length disagrees with the graph, is a
+ * memo miss.  Returns 0 with ``nx`` filled, 1 + EXIT_* for a bail, -1
+ * on a Python error. */
+static int
+shared_lookup(Chain *ch, PyObject *inst, long layer_index, Next *nx)
+{
+    PyObject *graph = SLOT_GET(inst, inst_map, I_GRAPH);
+    PyObject *cores_o = SLOT_GET(inst, inst_map, I_CORES);
+    PyObject *table, *entry, *v;
+    long cores;
+    int k;
+
+    if (graph == NULL || cores_o == NULL || obj_long(cores_o, &cores) < 0) {
+        return 1 + EXIT_ADVANCE_BAIL;
     }
-    {
-        PyObject *td = SLOT_GET(inst, inst_map, I_DRAM_TOTAL);
-        PyObject *th = SLOT_GET(inst, inst_map, I_HIT_TOTAL);
-        PyObject *ta = SLOT_GET(inst, inst_map, I_ACCESS_TOTAL);
-        PyObject *tl = SLOT_GET(inst, inst_map, I_LAYERS_EXECUTED);
-        if (td == NULL || th == NULL || ta == NULL || tl == NULL) {
-            BAIL(EXIT_ADVANCE_BAIL);
+    table = memo_get(ch, graph, cores);
+    if (table == NULL) {
+        PyObject *name, *key;
+        Py_ssize_t n;
+        if ((name = PyObject_GetAttr(graph, s_name)) == NULL) {
+            return -1;
         }
-        if (old == ch->ow[i]) {
-            if ((nd = add_float(td, owv[0])) == NULL ||
-                (nh = add_float(th, owv[1])) == NULL ||
-                (na = add_float(ta, owv[2])) == NULL) {
-                goto done;
-            }
+        key = PyTuple_Pack(2, name, cores_o);
+        Py_DECREF(name);
+        if (key == NULL) {
+            return -1;
         }
-        else {
-            GET(od, old, s_dram_bytes);
-            GET(oh, old, s_hit_bytes);
-            GET(oa, old, s_access_bytes);
-            if ((nd = PyNumber_Add(td, od)) == NULL ||
-                (nh = PyNumber_Add(th, oh)) == NULL ||
-                (na = PyNumber_Add(ta, oa)) == NULL) {
-                goto done;
-            }
+        table = PyDict_GetItemWithError(ch->work_tables, key);
+        Py_DECREF(key);
+        if (table == NULL && PyErr_Occurred()) {
+            return -1;
         }
-        if ((nl = PyNumber_Add(tl, i_one)) == NULL ||
-            (nxt_o = PyLong_FromLong(nxt)) == NULL) {
+        if ((n = graph_layers(graph)) < 0) {
+            return -1;
+        }
+        if (table == NULL || !PyTuple_CheckExact(table) ||
+            PyTuple_GET_SIZE(table) != n) {
+            return miss_exit(n, layer_index);
+        }
+        memo_put(ch, graph, cores, table);
+    }
+    nx->nlayers = (long)PyTuple_GET_SIZE(table);
+    nx->nxt = layer_index + 1;
+    if (nx->nxt >= nx->nlayers) {
+        return 1 + EXIT_INFERENCE_END;
+    }
+    entry = PyTuple_GET_ITEM(table, nx->nxt);
+    if (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) != 5) {
+        return 1 + EXIT_MEMO_MISS;
+    }
+    for (k = 1; k < 5; k++) {
+        if (!PyFloat_CheckExact(PyTuple_GET_ITEM(entry, k))) {
+            /* The fluid lists hold floats only. */
+            return 1 + EXIT_MEMO_MISS;
+        }
+    }
+    v = PyTuple_GET_ITEM(entry, 0);
+    if (v == Py_None) {
+        return 1 + EXIT_MEMO_MISS;
+    }
+    nx->work = v;
+    nx->cw = PyTuple_GET_ITEM(entry, 1);
+    nx->dw = PyTuple_GET_ITEM(entry, 2);
+    nx->hit = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(entry, 3));
+    nx->access = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(entry, 4));
+    return 0;
+}
+
+/* Install a looked-up next layer on kernel position ``i`` exactly as
+ * MultiTenantEngine._process_completions -> _apply_grant would: the
+ * account_layer sums of the layer that finished, ``layer_index``, the
+ * work and remaining work (in the fluid buffers c/d too), ``wake_time``
+ * and, for the slack modes, the progress refresh of
+ * RunningKernel.set_work (buffer sp and list).  A CaMDN completion
+ * also commits its selection, LBM block, grant and LBM count.  Every
+ * new value is built before the first write, so an error leaves
+ * nothing half-done.  Returns 0, or -1 on a Python error. */
+static int
+chain_install(Chain *ch, Py_ssize_t i, PyObject *inst, const Next *nx,
+              double *c, double *d, double *sp)
+{
+    PyObject *od = NULL, *oh = NULL, *oa = NULL;
+    PyObject *nd = NULL, *nh = NULL, *na = NULL, *nl = NULL;
+    PyObject *nxt_o = NULL, *old, *td, *th, *ta, *tl;
+    double *owv = ch->owv + 3 * i;
+    int rc = -1;
+
+#define GET(var, obj, name) \
+    do { if ((var = PyObject_GetAttr(obj, name)) == NULL) goto done; } \
+    while (0)
+
+    old = SLOT_GET(inst, inst_map, I_WORK);
+    td = SLOT_GET(inst, inst_map, I_DRAM_TOTAL);
+    th = SLOT_GET(inst, inst_map, I_HIT_TOTAL);
+    ta = SLOT_GET(inst, inst_map, I_ACCESS_TOTAL);
+    tl = SLOT_GET(inst, inst_map, I_LAYERS_EXECUTED);
+    if (old == ch->ow[i]) {
+        if ((nd = add_float(td, owv[0])) == NULL ||
+            (nh = add_float(th, owv[1])) == NULL ||
+            (na = add_float(ta, owv[2])) == NULL) {
             goto done;
         }
+    }
+    else {
+        GET(od, old, s_dram_bytes);
+        GET(oh, old, s_hit_bytes);
+        GET(oa, old, s_access_bytes);
+        if ((nd = PyNumber_Add(td, od)) == NULL ||
+            (nh = PyNumber_Add(th, oh)) == NULL ||
+            (na = PyNumber_Add(ta, oa)) == NULL) {
+            goto done;
+        }
+    }
+    if ((nl = PyNumber_Add(tl, i_one)) == NULL ||
+        (nxt_o = PyLong_FromLong(nx->nxt)) == NULL) {
+        goto done;
     }
 
     /* --- commit --- */
-    if (commit_selection(&ch->av, slot, &sel) < 0) {
-        goto done;
-    }
-    if (sel.lbm_s != ls || sel.lbm_e != le) {
-        /* The mapping file's canonical block tuple — the very object
-         * block_of() hands the Python chain, so pickled object graphs
-         * (snapshot bytes) stay identical across paths. */
-        slot_set(state, &state_map, S_LBM_BLOCK,
-                 sel.lbm_s < 0 ? Py_None : PyList_GET_ITEM(blocks, nxt));
-    }
-    {
-        int is_lbm = PyObject_IsTrue(PyTuple_GET_ITEM(entry, 2));
-        if (is_lbm < 0) {
+    if (ch->kind == CHAIN_CAMDN) {
+        int is_lbm = PyObject_IsTrue(PyTuple_GET_ITEM(nx->entry, 2));
+        if (is_lbm < 0 || commit_selection(&ch->av, nx->slot, &nx->sel) < 0) {
             goto done;
         }
+        if (nx->sel.lbm_s != nx->ls || nx->sel.lbm_e != nx->le) {
+            /* The mapping file's canonical block tuple — the very
+             * object block_of() hands the Python chain, so pickled
+             * object graphs (snapshot bytes) stay identical across
+             * paths. */
+            slot_set(nx->state, &state_map, S_LBM_BLOCK,
+                     nx->sel.lbm_s < 0 ? Py_None : nx->block);
+        }
         ch->lbm += is_lbm;
+        slot_set(inst, &inst_map, I_SCHED_SCRATCH,
+                 PyTuple_GET_ITEM(nx->entry, 0));
     }
     slot_set(inst, &inst_map, I_DRAM_TOTAL, nd);
     slot_set(inst, &inst_map, I_HIT_TOTAL, nh);
     slot_set(inst, &inst_map, I_ACCESS_TOTAL, na);
     slot_set(inst, &inst_map, I_LAYERS_EXECUTED, nl);
     slot_set(inst, &inst_map, I_LAYER_INDEX, nxt_o);
-    slot_set(inst, &inst_map, I_SCHED_SCRATCH, PyTuple_GET_ITEM(entry, 0));
     /* _apply_grant's granted branch for a running instance (state is
      * already RUNNING and start_time already set). */
-    slot_set(inst, &inst_map, I_WORK, work);
-    slot_set(inst, &inst_map, I_REM_COMPUTE, cw);
-    slot_set(inst, &inst_map, I_REM_DRAM, dw);
+    slot_set(inst, &inst_map, I_WORK, nx->work);
+    slot_set(inst, &inst_map, I_REM_COMPUTE, nx->cw);
+    slot_set(inst, &inst_map, I_REM_DRAM, nx->dw);
     slot_set(inst, &inst_map, I_WAKE_TIME, f_inf);
-    c[i] = PyFloat_AS_DOUBLE(cw);
-    d[i] = PyFloat_AS_DOUBLE(dw);
-    ch->ow[i] = work;
+    c[i] = PyFloat_AS_DOUBLE(nx->cw);
+    d[i] = PyFloat_AS_DOUBLE(nx->dw);
+    ch->ow[i] = nx->work;
     owv[0] = d[i];
-    owv[1] = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(vals, 2));
-    owv[2] = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(vals, 3));
+    owv[1] = nx->hit;
+    owv[2] = nx->access;
     if (ch->slack) {
-        /* RunningKernel.set_work's progress refresh. */
-        double prog = (double)nxt / (double)(nlayers > 1 ? nlayers : 1);
+        double prog = (double)nx->nxt /
+                      (double)(nx->nlayers > 1 ? nx->nlayers : 1);
         PyObject *fp = PyFloat_FromDouble(prog);
         if (fp == NULL) {
             goto done;
@@ -1122,10 +1265,7 @@ chain_complete(Chain *ch, Py_ssize_t i, double now, double *c,
     rc = 0;
 
 done:
-#undef BAIL
 #undef GET
-    Py_XDECREF(pcpns);
-    Py_XDECREF(ckey);
     Py_XDECREF(od);
     Py_XDECREF(oh);
     Py_XDECREF(oa);
@@ -1135,6 +1275,48 @@ done:
     Py_XDECREF(nl);
     Py_XDECREF(nxt_o);
     return rc;
+}
+
+/* Handle the completion of kernel position ``i``: the kind's lookup of
+ * the next layer, then the shared install.
+ *
+ * Returns 0 when handled, 1 + EXIT_* when Python must take this
+ * completion (nothing mutated), -1 on a Python error. */
+static int
+chain_complete(Chain *ch, Py_ssize_t i, double now, double *c,
+               double *d, double *sp)
+{
+    PyObject *inst = PyList_GET_ITEM(ch->insts, i);
+    PyObject *v;
+    Next nx;
+    long layer_index;
+    int r, k;
+
+    r = slot_map_for(&inst_map, Py_TYPE(inst), inst_names, N_INST_SLOTS);
+    if (r <= 0) {
+        return r < 0 ? -1 : 1 + EXIT_ADVANCE_BAIL;
+    }
+    v = SLOT_GET(inst, inst_map, I_LAYER_INDEX);
+    if (v == NULL || obj_long(v, &layer_index) < 0) {
+        return 1 + EXIT_ADVANCE_BAIL;
+    }
+    r = ch->kind == CHAIN_CAMDN
+        ? camdn_lookup(ch, inst, layer_index, now, &nx)
+        : shared_lookup(ch, inst, layer_index, &nx);
+    if (r != 0) {
+        return r;
+    }
+    /* The finished layer's work and totals (account_layer). */
+    v = SLOT_GET(inst, inst_map, I_WORK);
+    if (v == NULL || v == Py_None) {
+        return 1 + EXIT_ADVANCE_BAIL;
+    }
+    for (k = I_DRAM_TOTAL; k <= I_LAYERS_EXECUTED; k++) {
+        if (SLOT_GET(inst, inst_map, k) == NULL) {
+            return 1 + EXIT_ADVANCE_BAIL;
+        }
+    }
+    return chain_install(ch, i, inst, &nx, c, d, sp);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1177,11 +1359,11 @@ positions_from(const Py_ssize_t *fin, Py_ssize_t from, Py_ssize_t to)
  * rates whenever it leaves the native path).
  *
  * ``chain`` is None (EXIT_NO_TABLES: return after every event with
- * completions, handing all finished positions back) or the CaMDN
- * completion chain's inputs
- * ``(scheduler, fast_files, tnext, pnext, palloc, total_pages,
- *    palloc_sum, hw_mode, share)``; each finished position is then
- * handled in C, in insertion order, until one is not provably
+ * completions, handing all finished positions back) or a policy's
+ * native_chain() tuple: ``(CHAIN_CAMDN, scheduler, fast_files, tnext,
+ * pnext, palloc, total_pages, palloc_sum, hw_mode, share)`` or
+ * ``(CHAIN_SHARED_CACHE, work_tables)``; each finished position is
+ * then handled in C, in insertion order, until one is not provably
  * equivalent (EXIT_INFERENCE_END, EXIT_ADVANCE_BAIL, EXIT_MEMO_MISS).
  * A truthy ``waiting`` ends the call after the first event with
  * completions, once C handled what it can (EXIT_WAITING_SET: the
@@ -1283,31 +1465,46 @@ fused_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         Py_RETURN_NONE;
     }
 
+    ch.kind = CHAIN_NONE;
     ch.sched = NULL;
     ch.lbm = 0;
-    ch.ft_n = 0;
+    ch.memo_n = 0;
     if (chain_t != Py_None) {
+        long kind;
+        Py_ssize_t size;
         if (!PyTuple_CheckExact(chain_t) ||
-            PyTuple_GET_SIZE(chain_t) != 9) {
+            (size = PyTuple_GET_SIZE(chain_t)) < 1 ||
+            obj_long(PyTuple_GET_ITEM(chain_t, 0), &kind) < 0) {
             Py_RETURN_NONE;
         }
-        ch.sched = PyTuple_GET_ITEM(chain_t, 0);
-        ch.fast_files = PyTuple_GET_ITEM(chain_t, 1);
-        ch.av.tnext = PyTuple_GET_ITEM(chain_t, 2);
-        ch.av.pnext = PyTuple_GET_ITEM(chain_t, 3);
-        ch.av.palloc = PyTuple_GET_ITEM(chain_t, 4);
-        if (!PyDict_CheckExact(ch.fast_files) ||
-            !PyList_CheckExact(ch.av.tnext) ||
-            !PyList_CheckExact(ch.av.pnext) ||
-            !PyList_CheckExact(ch.av.palloc) ||
-            obj_long(PyTuple_GET_ITEM(chain_t, 5),
-                     &ch.av.total_pages) < 0 ||
-            obj_long(PyTuple_GET_ITEM(chain_t, 6),
-                     &ch.av.palloc_sum) < 0 ||
-            obj_long(PyTuple_GET_ITEM(chain_t, 7), &ch.av.hw_mode) < 0 ||
-            obj_long(PyTuple_GET_ITEM(chain_t, 8), &ch.av.share) < 0) {
+        if (kind == CHAIN_CAMDN && size == 10) {
+            ch.sched = PyTuple_GET_ITEM(chain_t, 1);
+            ch.fast_files = PyTuple_GET_ITEM(chain_t, 2);
+            ch.av.tnext = PyTuple_GET_ITEM(chain_t, 3);
+            ch.av.pnext = PyTuple_GET_ITEM(chain_t, 4);
+            ch.av.palloc = PyTuple_GET_ITEM(chain_t, 5);
+            if (!PyDict_CheckExact(ch.fast_files) ||
+                !PyList_CheckExact(ch.av.tnext) ||
+                !PyList_CheckExact(ch.av.pnext) ||
+                !PyList_CheckExact(ch.av.palloc) ||
+                obj_long(PyTuple_GET_ITEM(chain_t, 6),
+                         &ch.av.total_pages) < 0 ||
+                obj_long(PyTuple_GET_ITEM(chain_t, 7),
+                         &ch.av.palloc_sum) < 0 ||
+                obj_long(PyTuple_GET_ITEM(chain_t, 8),
+                         &ch.av.hw_mode) < 0 ||
+                obj_long(PyTuple_GET_ITEM(chain_t, 9), &ch.av.share) < 0) {
+                Py_RETURN_NONE;
+            }
+        }
+        else if (kind == CHAIN_SHARED_CACHE && size == 2 &&
+                 PyDict_CheckExact(PyTuple_GET_ITEM(chain_t, 1))) {
+            ch.work_tables = PyTuple_GET_ITEM(chain_t, 1);
+        }
+        else {
             Py_RETURN_NONE;
         }
+        ch.kind = (int)kind;
         ch.insts = args[18];
         ch.sl_progress = sl_p_l;
         ch.slack = slack;
@@ -1324,7 +1521,7 @@ fused_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             return PyErr_NoMemory();
         }
     }
-    if (ch.sched != NULL) {
+    if (ch.kind != CHAIN_NONE) {
         for (i = 0; i < n; i++) {
             ow[i] = NULL;
         }
@@ -1411,7 +1608,7 @@ fused_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
         if (nf > 0) {
             Py_ssize_t j;
-            if (ch.sched == NULL) {
+            if (ch.kind == CHAIN_NONE) {
                 reason = EXIT_NO_TABLES;
                 rest_from = 0;
                 break;
@@ -1552,7 +1749,7 @@ static PyMethodDef batchstep_methods[] = {
     {"fused_step", (PyCFunction)(void (*)(void))fused_step,
      METH_FASTCALL,
      "Step engine events: fused rates + min-dt + advance, then the "
-     "CaMDN completion chain."},
+     "policy's completion chain."},
     {"camdn_advance", (PyCFunction)(void (*)(void))camdn_advance,
      METH_FASTCALL,
      "Fused CaMDN end-of-layer update + next-layer selection + grant."},
@@ -1585,6 +1782,7 @@ PyInit__batchstep(void)
     INTERN(inst_names[I_REM_COMPUTE], "rem_compute_cycles");
     INTERN(inst_names[I_REM_DRAM], "rem_dram_bytes");
     INTERN(inst_names[I_WAKE_TIME], "wake_time");
+    INTERN(inst_names[I_GRAPH], "graph");
     INTERN(state_names[S_MAPPING_FILE], "mapping_file");
     INTERN(state_names[S_SLOT], "_slot");
     INTERN(state_names[S_LBM_BLOCK], "lbm_block");
@@ -1593,7 +1791,7 @@ PyInit__batchstep(void)
     INTERN(s_hit_bytes, "hit_bytes");
     INTERN(s_access_bytes, "access_bytes");
     INTERN(s_lbm_layers, "_lbm_layers");
-    INTERN(s_graph, "graph");
+    INTERN(s_name, "name");
     INTERN(s_layers, "layers");
 #undef INTERN
     if ((f_inf = PyFloat_FromDouble(Py_HUGE_VAL)) == NULL ||

@@ -33,19 +33,23 @@ the batch, the native kernel (:mod:`repro.sim.native`, a small C
 extension compiled on demand) steps events itself: per event it
 recomputes the rates of the policy's declared rule
 (:meth:`~repro.schedulers.base.SchedulerPolicy.rate_kernel`), finds the
-next event time, drains the fluid work and scans for completions.  For
-the CaMDN policies it then runs each finished layer's completion chain
-in C too — Algorithm 1's end-of-layer update and next-layer selection,
-the no-resize grant, the memoized work entry, the per-layer accounting
-and the next layer's work install — and steps on.  The call returns to
-this loop only where the loop has work of its own
-(:data:`repro.sim.native.EXIT_REASONS`): an inference's last layer, a
-completion C cannot prove equivalent (a region resize or denial: an
-advance bail) or has no memoized decision for yet (a memo miss) — both
-detected before the completion is touched — a non-empty waiting set to
-poll, a wakeup, timeline or fault instant, or the event budget.
-Policies without a completion chain (and any run with a trace recorder
-or a wrapped ``advance_layer`` hook) get every event with completions
+next event time, drains the fluid work and scans for completions.  It
+then runs each finished layer's completion chain in C too, with the
+tables the policy hands over through
+:meth:`~repro.schedulers.base.SchedulerPolicy.native_chain` — for
+CaMDN, Algorithm 1's end-of-layer update and next-layer selection, the
+no-resize grant and the memoized work entry; for the transparent-cache
+policies, the next layer's entry in the current contention factor's
+work table; for both, the per-layer accounting and the next layer's
+work install — and steps on.  The call returns to this loop only where
+the loop has work of its own (:data:`repro.sim.native.EXIT_REASONS`):
+an inference's last layer, a completion C cannot prove equivalent (a
+region resize or denial: an advance bail) or has no memoized table or
+decision for yet (a memo miss) — both detected before the completion
+is touched — a non-empty waiting set to poll, a wakeup, timeline or
+fault instant, or the event budget.  Policies without a completion
+chain (custom or test policies, and any run with a trace recorder or a
+wrapped or overridden chain hook) get every event with completions
 back.  Those completions run :meth:`_process_completions` in Python.
 Without the native kernel, each event computes the rule's shares in
 Python (:func:`repro.memory.bwalloc.shares`), steps with
@@ -284,16 +288,16 @@ class MultiTenantEngine:
         self._dram_eff: Dict[int, float] = {}
         # SoA kernel over the RUNNING set.
         self._kernel = RunningKernel()
-        # Native batch stepper (None: pure-Python path) and, when the
-        # policy offers one, its completion chain: C then handles
-        # layer completions itself, so the chain stays off while a
-        # trace recorder wants per-layer spans.
+        # Native batch stepper (None: pure-Python path) and the
+        # policy's completion chain (SchedulerPolicy.native_chain): C
+        # then handles layer completions itself, so the chain stays off
+        # while a trace recorder wants per-layer spans.
         self._native = None
         self._chain_fn = None
         if use_native is not False:
             self._native = native.fused_step()
             if self._native is not None and trace is None:
-                self._chain_fn = getattr(scheduler, "native_chain", None)
+                self._chain_fn = scheduler.native_chain
         # Run-stats counters: the native buffer plus the Python step
         # path's event and completion counts.
         self._counters = native.new_counters()
@@ -731,8 +735,8 @@ class MultiTenantEngine:
         caller.  With the native kernel, one ``fused_step`` call steps
         events until the next boundary this loop must see: rates,
         step and, for policies with a completion chain, each finished
-        layer's end/select/grant/work install happen in C, and only
-        the completions C hands back go through
+        layer's next-layer lookup and work install happen in C, and
+        only the completions C hands back go through
         :meth:`_process_completions`.  Without it (and whenever the
         native call bails) the Python pair :meth:`_recompute_rates` +
         :meth:`RunningKernel.step` runs inside the same loop.  Both
@@ -791,13 +795,16 @@ class MultiTenantEngine:
             if fault_next < bound:
                 bound = fault_next
             res = None
-            if native_step is not None and (
-                    insts if fused_mode else self._rates_valid):
+            if native_step is not None and (insts or not fused_mode):
                 if fused_mode:
                     n = len(insts)
                     if n != n_eff:
                         eff = self._dram_efficiency(n)
                         n_eff = n
+                elif not self._rates_valid:
+                    # A static rule's rates are inputs of the native
+                    # step: install them as the Python path would.
+                    self._recompute_rates()
                 res = native_step(
                     rem_c, rem_d, kernel.rate_c, kernel.rate_d,
                     sl_arrival, sl_qos, sl_est, sl_progress,

@@ -2,11 +2,13 @@
 
 The engine's batch loop hands runs of events to one C function
 (:mod:`repro.sim._batchstep` ``fused_step``): per event it recomputes
-the rates, steps the fluid state and, for the CaMDN policies, handles
-each finished layer itself, returning to Python only at the exits
-listed in :data:`EXIT_REASONS`.  The extension is compiled from the
-shipped ``_batchstep.c`` the first time a process asks for it, cached
-under ``$XDG_CACHE_HOME/camdn-repro/native/`` keyed by source digest
+the rates, steps the fluid state and, with the tables the policy's
+completion chain provides (:data:`CHAIN_CAMDN`,
+:data:`CHAIN_SHARED_CACHE`), handles each finished layer itself,
+returning to Python only at the exits listed in :data:`EXIT_REASONS`.
+The extension is compiled from the shipped ``_batchstep.c`` the first
+time a process asks for it, cached under
+``$XDG_CACHE_HOME/camdn-repro/native/`` keyed by source digest
 and Python ABI, and loaded from the cache on every later run — so the
 repo stays a plain ``PYTHONPATH=src`` checkout with no build step.
 
@@ -41,15 +43,25 @@ _ABI_TAG = 2
 
 #: Why a native ``fused_step`` call returned to the batch loop, in the
 #: kernel's ``EXIT_*`` order: a finished layer was its inference's last,
-#: the C selection or grant check bailed, no decision table or work
-#: entry was memoized yet, the waiting set needs a poll, a wakeup /
-#: timeline / fault instant is due, the event budget ran out, the
-#: policy has no completion chain (return after every event with
-#: completions), or the step inputs fell outside the fast path.
+#: the C selection or grant check bailed (CaMDN), no decision table,
+#: work entry or work table was memoized yet, the waiting set needs a
+#: poll, a wakeup / timeline / fault instant is due, the event budget
+#: ran out, the policy has no completion chain (custom or test
+#: policies only: return after every event with completions), or the
+#: step inputs fell outside the fast path.
 EXIT_REASONS = (
     "inference_end", "advance_bail", "memo_miss", "waiting_set",
     "boundary", "event_budget", "no_tables", "step_bail",
 )
+
+#: Completion-chain kinds, the first item of a policy's
+#: :meth:`~repro.schedulers.base.SchedulerPolicy.native_chain` tuple
+#: (the kernel's ``CHAIN_*``): CaMDN's selection/grant chain, and the
+#: transparent-cache policies' per-layer work-table lookup.  Both kinds
+#: share one install routine for the next layer's work and the
+#: finished layer's accounting.
+CHAIN_CAMDN = 0
+CHAIN_SHARED_CACHE = 1
 
 #: int64 slots of the run-stats buffer ``fused_step`` adds to: events
 #: stepped natively, completions handled in C, exits per reason, then

@@ -9,14 +9,18 @@ committed reference suite pins the default path and these tests pin the
 cross-path agreement, including MoCA's mid-run rate epoch transitions,
 QoS tenant churn and fuzzed fault schedules.
 
-For the CaMDN policies the native call also runs the completion chain
-(end-of-layer update, selection, grant, work install) across events.
-Its Python twin is the ``REPRO_NATIVE=0`` path: every exit reason of
-the native loop is driven here and compared with that twin on
-``metric_summary()``, ``scheduler.stats()`` and a mid-run snapshot.
+For every shipped policy the native call also runs the completion
+chain across events: a per-kind lookup of the next layer (CaMDN's
+end-of-layer update, selection and grant; the transparent-cache
+policies' work-table entry) and one shared install of its work.  Its
+Python twin is the ``REPRO_NATIVE=0`` path: every exit reason of the
+native loop is driven here, for both chain kinds, and compared with
+that twin on ``metric_summary()``, ``scheduler.stats()`` and a mid-run
+snapshot.
 """
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -35,8 +39,13 @@ from repro.config import MiB, SoCConfig
 from repro.core.serialize import simulation_result_to_dict
 from repro.errors import SimulationError
 from repro.memory import bwalloc
-from repro.schedulers import make_scheduler
+from repro.schedulers import (
+    AuRORAScheduler,
+    MoCAScheduler,
+    make_scheduler,
+)
 from repro.schedulers.camdn_full import CaMDNFullScheduler
+from repro.schedulers.shared_baseline import SharedCacheBaseline
 from repro.sim import native
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.kernel import RunningKernel
@@ -52,8 +61,9 @@ from repro.sim.workload import ScenarioWorkload
 POLICIES = ("baseline", "moca", "aurora", "camdn-hw", "camdn-full",
             "camdn-qos")
 
-#: The CaMDN policies, whose native calls run the completion chain.
-CHAIN_POLICIES = ("camdn-full", "camdn-hw", "camdn-qos")
+#: The policies whose native calls run the completion chain: every
+#: shipped one (CaMDN's kind and the shared-cache kind).
+CHAIN_POLICIES = POLICIES
 
 _fuzz_settings = settings(
     max_examples=int(os.environ.get("REPRO_FUZZ_EXAMPLES", "10")),
@@ -454,7 +464,7 @@ class TestFuzzedCrossPathIdentity:
 
     @_fuzz_settings
     @given(spec=count_mode_scenario_specs())
-    @pytest.mark.parametrize("policy", CHAIN_POLICIES + ("aurora",))
+    @pytest.mark.parametrize("policy", CHAIN_POLICIES)
     def test_fuzzed_backlog_drain_native_vs_python(self, spec, policy):
         # Count-mode quotas force open-loop backlogs to drain fully
         # across whichever step path is active.
@@ -526,11 +536,12 @@ def _pure_python():
 
 def _observe(policy, spec, soc=None, *, snapshot_at=None,
              max_events=None):
-    """One run's byte-identity surfaces: ``metric_summary()``,
+    """One run's (``policy``: a shipped name or a scheduler factory)
+    byte-identity surfaces: ``metric_summary()``,
     ``scheduler.stats()`` and a snapshot (the ``snapshot_at_events``
     one, or — when the event budget stops the run — the engine's state
     at the boundary where the watchdog fired)."""
-    scheduler = make_scheduler(policy)
+    scheduler = policy() if callable(policy) else make_scheduler(policy)
     engine = MultiTenantEngine(soc or SoCConfig(), scheduler,
                                ScenarioWorkload(spec))
     try:
@@ -557,28 +568,80 @@ def _quad(inferences=2, qos_scale=float("inf")):
                                     qos_scale=qos_scale)
 
 
-#: One run per native exit reason: (policy, spec, soc, max_events).
-#: ``advance_bail`` needs region resizes (a page-constrained 2 MiB
-#: cache); ``waiting_set`` needs grants denied (a 1 MiB cache shared by
-#: eight streams); ``boundary`` needs timeline instants (periodic
-#: arrivals);
+class BeginLayerProbe(AuRORAScheduler):
+    """aurora with an overridden ``begin_layer`` (counts its calls)."""
+
+    def __init__(self):
+        super().__init__()
+        self.begins = 0
+
+    def begin_layer(self, instance, now):
+        self.begins += 1
+        return super().begin_layer(instance, now)
+
+
+class LayerEndProbe(MoCAScheduler):
+    """moca with an overridden ``on_layer_end`` (counts its calls)."""
+
+    def __init__(self):
+        super().__init__()
+        self.ends = 0
+
+    def on_layer_end(self, instance, now):
+        self.ends += 1
+        super().on_layer_end(instance, now)
+
+
+#: One run per (native exit reason, chain kind): reason -> {case:
+#: (policy, spec, soc, max_events)}.  ``advance_bail`` needs region
+#: resizes (a page-constrained 2 MiB cache); ``waiting_set`` needs
+#: grants denied (a 1 MiB cache shared by eight streams) — both are
+#: CaMDN-only, as the shared-cache kind never resizes or denies.
+#: ``memo_miss`` is a work table not built yet (a decision table for
+#: CaMDN); ``boundary`` needs timeline instants (periodic arrivals);
 #: ``event_budget`` stops the run at the watchdog; ``no_tables`` is a
-#: policy without a completion chain.
+#: custom policy whose overridden hook keeps the chain off.  Deadlines
+#: (``qos_scale`` 1.0) put MoCA's throttle and AuRORA's second core on
+#: the chain's path.
 EXIT_CASES = {
-    "inference_end": ("camdn-hw", lambda: _quad(), None, None),
-    "advance_bail": ("camdn-full", lambda: _quad(),
-                     SoCConfig().with_cache_bytes(2 * MiB), None),
-    "memo_miss": ("camdn-qos", lambda: _quad(qos_scale=1.0), None, None),
-    "waiting_set": (
-        "camdn-full",
-        lambda: ScenarioSpec.closed_loop(
-            ("RS.", "MB.", "EF.", "BE.") * 2, inferences=2),
-        SoCConfig().with_cache_bytes(1 * MiB), None,
-    ),
-    "boundary": ("camdn-full", lambda: get_scenario("periodic-eight"),
-                 None, None),
-    "event_budget": ("camdn-full", lambda: _quad(), None, 500),
-    "no_tables": ("aurora", lambda: _quad(), None, None),
+    "inference_end": {
+        "camdn-hw": ("camdn-hw", lambda: _quad(), None, None),
+        "aurora": ("aurora", lambda: _quad(qos_scale=1.0), None, None),
+        "moca": ("moca", lambda: _quad(qos_scale=1.0), None, None),
+        "baseline": ("baseline", lambda: _quad(), None, None),
+    },
+    "advance_bail": {
+        "camdn-full": ("camdn-full", lambda: _quad(),
+                       SoCConfig().with_cache_bytes(2 * MiB), None),
+    },
+    "memo_miss": {
+        "camdn-qos": ("camdn-qos", lambda: _quad(qos_scale=1.0), None,
+                      None),
+        "aurora": ("aurora", lambda: _quad(qos_scale=1.0), None, None),
+        "moca": ("moca", lambda: _quad(), None, None),
+        "baseline": ("baseline", lambda: _quad(qos_scale=1.0), None,
+                     None),
+    },
+    "waiting_set": {
+        "camdn-full": (
+            "camdn-full",
+            lambda: ScenarioSpec.closed_loop(
+                ("RS.", "MB.", "EF.", "BE.") * 2, inferences=2),
+            SoCConfig().with_cache_bytes(1 * MiB), None,
+        ),
+    },
+    "boundary": {
+        name: (name, lambda: get_scenario("periodic-eight"), None, None)
+        for name in ("camdn-full", "aurora", "moca", "baseline")
+    },
+    "event_budget": {
+        name: (name, lambda: _quad(), None, 500)
+        for name in ("camdn-full", "aurora", "moca", "baseline")
+    },
+    "no_tables": {
+        "begin-layer-probe": (BeginLayerProbe, lambda: _quad(), None,
+                              None),
+    },
 }
 
 
@@ -589,9 +652,12 @@ class TestCompletionChainExits:
     and agree byte for byte on the metrics, the scheduler counters and
     a snapshot taken mid-run."""
 
-    @pytest.mark.parametrize("reason", sorted(EXIT_CASES))
-    def test_exit_reason_matches_python_twin(self, reason):
-        policy, spec_fn, soc, max_events = EXIT_CASES[reason]
+    @pytest.mark.parametrize("reason,case", [
+        (reason, case) for reason in sorted(EXIT_CASES)
+        for case in sorted(EXIT_CASES[reason])
+    ])
+    def test_exit_reason_matches_python_twin(self, reason, case):
+        policy, spec_fn, soc, max_events = EXIT_CASES[reason][case]
         spec = spec_fn()
         first, result = _observe(policy, spec, soc, max_events=max_events)
         if result is None:
@@ -628,8 +694,8 @@ class TestCompletionChainExits:
 class TestCompletionChainBails:
     """A chain bail is detected before the completion it concerns is
     touched: the allocator's predictor lists, every task's LBM block,
-    the finished instances and the kernel arrays are exactly what a
-    chain-less native event leaves behind."""
+    the shared-cache work tables, the finished instances and the kernel
+    arrays are exactly what a chain-less native event leaves behind."""
 
     def _engine_pair(self, policy="camdn-full"):
         # Two engines in the same state at the first batch boundary.
@@ -641,8 +707,12 @@ class TestCompletionChainBails:
         assert snap is not None
         pair = snap.resume(), snap.resume()
         for resumed in pair:
-            # What resume_run does before its first batch.
+            # What resume_run does before its first batch (and, for a
+            # static rate rule, the batch loop before its first native
+            # call).
             resumed._resolve_rate_mode()
+            if not resumed._fused_mode:
+                resumed._recompute_rates()
         return pair
 
     def _event(self, engine, chain):
@@ -659,33 +729,43 @@ class TestCompletionChainBails:
         return res, counters
 
     def _state(self, engine):
-        alloc = engine.scheduler._alloc
+        scheduler = engine.scheduler
         kernel = engine._kernel
-        return {
-            "tnext": [x.hex() for x in alloc._tnext],
-            "pnext": list(alloc._pnext),
-            "palloc": list(alloc._palloc),
-            "palloc_sum": alloc._palloc_sum,
-            "lbm": [s.lbm_block for s in alloc._states],
+        state = {
             "insts": [(i.instance_id, i.layer_index, i.work,
-                       i.dram_bytes_total, i.layers_executed,
-                       i.sched_scratch) for i in kernel.insts],
+                       i.dram_bytes_total, i.hit_bytes_total,
+                       i.access_bytes_total, i.layers_executed,
+                       i.sched_scratch, i.wake_time)
+                      for i in kernel.insts],
             "rem_c": [x.hex() for x in kernel.rem_c],
             "rem_d": [x.hex() for x in kernel.rem_d],
-            "lbm_layers": engine.scheduler.stats()["lbm_layers"],
+            "progress": [x.hex() for x in kernel.sl_progress],
+            "stats": scheduler.stats(),
         }
+        if isinstance(scheduler, SharedCacheBaseline):
+            state["tables"] = {
+                factor: dict(tables)
+                for factor, tables in scheduler._work_tables.items()
+            }
+        else:
+            alloc = scheduler._alloc
+            state.update(
+                tnext=[x.hex() for x in alloc._tnext],
+                pnext=list(alloc._pnext),
+                palloc=list(alloc._palloc),
+                palloc_sum=alloc._palloc_sum,
+                lbm=[s.lbm_block for s in alloc._states],
+            )
+        return state
 
-    def _assert_untouched(self, reason, poison):
-        engine, twin = self._engine_pair()
-        scheduler = engine.scheduler
-        resume_state = self._state(engine)
-        if poison:
-            # Tables exist, but no row is one the C selection accepts.
-            for inst in engine._kernel.insts:
-                ft = scheduler._build_fast_file(
-                    inst.sched_ctx[0].mapping_file)
-                ft[1][:] = [("bad",)] * len(ft[1])
-        res, counters = self._event(engine, scheduler.native_chain())
+    def _assert_untouched(self, reason, policy="camdn-full", poison=None):
+        engine, twin = self._engine_pair(policy)
+        chain = engine.scheduler.native_chain()
+        assert chain is not None
+        if poison is not None:
+            poison(engine)
+        before = self._state(engine)
+        res, counters = self._event(engine, chain)
         plain, _ = self._event(twin, None)
         code, now, events, finished, dt = res
         assert native.EXIT_REASONS[code] == reason
@@ -695,21 +775,49 @@ class TestCompletionChainBails:
         assert finished == plain[3] and finished
         assert (now, dt) == (plain[1], plain[4])
         state = self._state(engine)
-        assert state == self._state(twin)
+        twin_state = self._state(twin)
+        # The twin never built chain tables; everything else matches.
+        for key in state.keys() - {"tables"}:
+            assert state[key] == twin_state[key], key
         # Only the fluid drain of the stepped event moved.
-        for key in ("tnext", "pnext", "palloc", "palloc_sum", "lbm",
-                    "insts", "lbm_layers"):
-            assert state[key] == resume_state[key], key
+        for key in state.keys() - {"rem_c", "rem_d"}:
+            assert state[key] == before[key], key
         stats = native.run_stats(native.pack_run_counts(counters, 0, 0))
         assert stats["native_exits"][reason] == 1
         assert stats["completions_c"] == 0
         assert stats["python_completions"][reason] == len(finished)
 
     def test_memo_miss_mutates_nothing(self):
-        self._assert_untouched("memo_miss", poison=False)
+        self._assert_untouched("memo_miss")
 
     def test_advance_bail_mutates_nothing(self):
-        self._assert_untouched("advance_bail", poison=True)
+        def poison(engine):
+            # Tables exist, but no row is one the C selection accepts.
+            for inst in engine._kernel.insts:
+                ft = engine.scheduler._build_fast_file(
+                    inst.sched_ctx[0].mapping_file)
+                ft[1][:] = [("bad",)] * len(ft[1])
+
+        self._assert_untouched("advance_bail", poison=poison)
+
+    @pytest.mark.parametrize("policy", ("aurora", "moca", "baseline"))
+    def test_shared_cache_memo_miss_mutates_nothing(self, policy):
+        # No work table is built yet after a resume (a pure memo).
+        self._assert_untouched("memo_miss", policy)
+
+    @pytest.mark.parametrize("policy", ("aurora", "baseline"))
+    def test_short_work_table_mutates_nothing(self, policy):
+        def poison(engine):
+            # Tables exist, but one layer short of every running model.
+            scheduler = engine.scheduler
+            factor = scheduler.contention_factor(None)
+            tables = scheduler._factor_tables(factor)
+            for inst in engine._kernel.insts:
+                table = scheduler._build_work_table(
+                    tables, factor, inst.graph, inst.cores)
+                tables[(inst.graph.name, inst.cores)] = table[:-1]
+
+        self._assert_untouched("memo_miss", policy, poison)
 
     def test_camdn_advance_bail_mutates_nothing(self):
         # The per-completion helper: a selection whose footprint is not
@@ -748,6 +856,18 @@ class TestCompletionChainBails:
         assert stats["native_exits"]["step_bail"] == 1
 
 
+def _bench_engine():
+    """``benchmarks/bench_engine.py`` (not a package) as a module."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parents[2] / "benchmarks" / "bench_engine.py"
+    spec = importlib.util.spec_from_file_location("bench_engine", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class CountingAdvance(CaMDNFullScheduler):
     """camdn-full with an overridden per-completion hook."""
 
@@ -761,8 +881,10 @@ class CountingAdvance(CaMDNFullScheduler):
 
 
 class TestCompletionChainEngagement:
-    """The chain replaces ``advance_layer`` calls, so it must stay off
-    whenever something wants to see them."""
+    """A chain replaces hook calls — ``advance_layer`` for CaMDN;
+    ``begin_layer``, ``on_layer_end`` and ``contention_factor`` for the
+    shared-cache policies — so it must stay off whenever something
+    wants to see them."""
 
     def _run_with(self, scheduler, trace=None):
         engine = MultiTenantEngine(SoCConfig(), scheduler,
@@ -803,14 +925,66 @@ class TestCompletionChainEngagement:
             self._completions(plain) - plain.completed_inferences
         assert _metrics_json(result) == _metrics_json(plain)
 
-    def test_trace_recorder_disengages_chain(self):
-        plain = self._run_with(make_scheduler("camdn-full"))
+    @pytest.mark.parametrize("policy", ("camdn-full", "aurora"))
+    def test_trace_recorder_disengages_chain(self, policy):
+        plain = self._run_with(make_scheduler(policy))
         trace = TraceRecorder()
-        result = self._run_with(make_scheduler("camdn-full"), trace)
+        result = self._run_with(make_scheduler(policy), trace)
         assert result.run_stats["completions_c"] == 0
         layer_spans = [s for s in trace.spans if s.kind.name == "LAYER"]
         assert len(layer_spans) == self._completions(plain)
         assert _metrics_json(result) == _metrics_json(plain)
+
+    def test_overridden_begin_layer_sees_every_completion(self):
+        plain = self._run_with(make_scheduler("aurora"))
+        probe = BeginLayerProbe()
+        result = self._run_with(probe)
+        assert result.run_stats["completions_c"] == 0
+        assert _metrics_json(result) == _metrics_json(plain)
+        # One call per dispatch plus one per completion with a next
+        # layer: one per layer executed.
+        assert probe.begins == self._completions(plain)
+
+    def test_overridden_on_layer_end_sees_every_completion(self):
+        plain = self._run_with(make_scheduler("moca"))
+        probe = LayerEndProbe()
+        result = self._run_with(probe)
+        assert result.run_stats["completions_c"] == 0
+        assert _metrics_json(result) == _metrics_json(plain)
+        assert probe.ends == self._completions(plain)
+
+    @pytest.mark.parametrize("hook", ("begin_layer", "on_layer_end",
+                                      "contention_factor"))
+    def test_wrapped_shared_cache_hook_sees_every_call(self, hook):
+        # perfbench's spans.wrap_instance pattern: a traced instance
+        # attribute shadows the bound method.
+        plain = self._run_with(make_scheduler("aurora"))
+        scheduler = make_scheduler("aurora")
+        calls = []
+        inner = getattr(scheduler, hook)
+
+        def wrapper(*args):
+            calls.append(args[0])
+            return inner(*args)
+
+        setattr(scheduler, hook, wrapper)
+        result = self._run_with(scheduler)
+        assert result.run_stats["completions_c"] == 0
+        assert _metrics_json(result) == _metrics_json(plain)
+        # Every hook runs once per layer executed (contention_factor
+        # inside each begin_layer).
+        assert len(calls) == self._completions(plain)
+
+    @needs_native
+    @pytest.mark.parametrize("policy", ("synthetic-static",
+                                        "synthetic-dynamic"))
+    def test_custom_policies_exit_through_no_tables(self, policy):
+        bench_engine = _bench_engine()
+        result = bench_engine._run_once(policy,
+                                        bench_engine.synthetic_graph())
+        stats = result.run_stats
+        assert stats["native_exits"]["no_tables"] > 0
+        assert stats["completions_c"] == 0
 
 
 class TestRunStats:
@@ -833,11 +1007,29 @@ class TestRunStats:
         stats = engine.run().run_stats
         total = stats["completions_c"] + stats["completions_python"]
         assert stats["completions_c"] >= 0.9 * total
+        # Every shipped policy has a chain.
+        assert stats["native_exits"]["no_tables"] == 0
         # Every Python-handled completion is attributed to a reason.
         assert sum(stats["python_completions"].values()) == \
             stats["completions_python"]
         assert stats["python_completions"]["python_step"] == 0
         assert stats["events_python"] == 0
+
+    @needs_native
+    @pytest.mark.parametrize("policy", ("aurora", "moca"))
+    def test_deadline_poisson_completions_run_in_c(self, policy):
+        # Open-loop arrivals with deadlines: MoCA's throttle wakes up,
+        # AuRORA grants second cores, and every arrival is a boundary.
+        spec = get_scenario("poisson-eight")
+        spec = dataclasses.replace(spec, streams=tuple(
+            dataclasses.replace(s, qos_scale=1.0) for s in spec.streams))
+        engine = MultiTenantEngine(SoCConfig(), make_scheduler(policy),
+                                   ScenarioWorkload(spec))
+        stats = engine.run().run_stats
+        total = stats["completions_c"] + stats["completions_python"]
+        assert stats["completions_c"] >= 0.95 * total
+        assert stats["native_exits"]["no_tables"] == 0
+        assert stats["native_exits"]["boundary"] > 0
 
     def test_python_path_counts_every_event(self):
         result = _run("camdn-full", use_native=False)

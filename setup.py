@@ -10,7 +10,6 @@ setup(
         "dev": [
             "pytest",
             "hypothesis",
-            "pytest-benchmark",
             "ruff",
         ],
     },

@@ -166,16 +166,7 @@ def save_mapping_file(mapping_file: ModelMappingFile,
     writer killed at any instant leaves either the previous content or
     the complete new content, never a torn file.
     """
-    path = Path(path)
-    text = mapping_file_to_text(mapping_file)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    try:
-        _write_text_durable(tmp, text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
+    return atomic_write_text_strict(path, mapping_file_to_text(mapping_file))
 
 
 def scenario_spec_to_dict(spec) -> dict:
@@ -330,29 +321,35 @@ def resolve_cache_dir(env_var: str, subdir: str) -> Optional[Path]:
     return root / "camdn-repro" / subdir
 
 
-def _write_text_durable(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` and fsync it (data on disk before the
-    caller publishes the file with a rename)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
+def atomic_write_text_strict(path: Union[str, Path], text: str) -> Path:
+    """Atomic durable write (temp file + fsync + rename, parent dirs
+    created); returns the path written.
+
+    A crash at any instant leaves either the old file or the complete
+    new one, never a torn file.  A failed write unlinks its temp file
+    and raises.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(f".tmp.{os.getpid()}")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Best-effort atomic durable write (tmp + fsync + rename); never
-    raises OSError.
-
-    Persistent caches are optimizations — a failed write must not fail
-    the computation that produced the value.  The fsync-before-rename
-    ordering means a crash at any instant leaves either the old entry or
-    the complete new one, never a torn file.
-    """
+    """Best-effort :func:`atomic_write_text_strict`: never raises
+    OSError.  Persistent caches are optimizations — a failed write must
+    not fail the computation that produced the value."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        _write_text_durable(tmp, text)
-        os.replace(tmp, path)
+        atomic_write_text_strict(path, text)
     except OSError:
         pass
 

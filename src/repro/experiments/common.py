@@ -32,8 +32,8 @@ class ExperimentScale:
     """Knob trading fidelity for wall-clock time.
 
     ``scale=1.0`` reproduces the full measurement windows; smaller values
-    shrink the simulated steady-state window proportionally (benchmarks use
-    ~0.25 so pytest-benchmark iterations stay cheap).
+    shrink the simulated steady-state window proportionally (the slow
+    test tier uses 0.1-0.25 to keep figure harnesses cheap).
 
     Attributes:
         scale: window multiplier, in (0, 4].

@@ -126,7 +126,7 @@ def run_resilience(
         for policy in policies
     ]
     for (intensity, policy), result in zip(grid, results):
-        if result is None:  # cell failed twice (see run_sweep)
+        if result is None:  # cell failed every retry (see run_sweep)
             continue
         summary = result.summary()
         completed = result.completed_inferences

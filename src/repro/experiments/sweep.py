@@ -11,7 +11,13 @@ across processes.
 :func:`run_sweep` executes a list of :class:`SweepCell` descriptions and
 returns one :class:`~repro.sim.engine.SimulationResult` per cell, in cell
 order regardless of completion order, so results are deterministic under
-any worker count.
+any worker count.  :func:`run_campaign` and :func:`resume_campaign` run
+a grid under a crash-safe :class:`CampaignJournal`; a sweep is simply a
+campaign without a journal.  All three share one executor: a serial
+loop or a process pool fed shards of cells (campaigns dispatch shards
+of one), and one retry policy — a failed cell is retried serially in
+the parent after a jittered, deterministic backoff, up to
+:data:`DEFAULT_CELL_RETRIES` times.
 
 Two cache layers remove redundant work:
 
@@ -54,8 +60,8 @@ from .. import __version__
 from ..config import SoCConfig
 from ..core.mapper.solver import SubspaceSolver
 from ..core.serialize import (
-    _write_text_durable,
     atomic_write_text,
+    atomic_write_text_strict,
     fault_spec_from_dict,
     fault_spec_to_dict,
     resolve_cache_dir,
@@ -286,39 +292,40 @@ def _load_cached(path: Path) -> Optional[SimulationResult]:
         return None
 
 
-def _store_cached(path: Path, result: SimulationResult) -> None:
-    """Best-effort atomic write of one cell result."""
-    atomic_write_text(path, json.dumps(simulation_result_to_dict(result)))
-
-
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
 
-#: Statistics of the most recent run_sweep call in this process (the
+#: Statistics of the most recent sweep or campaign in this process (the
 #: runner surfaces these as its events/sec observability line).
 _LAST_STATS: Dict[str, float] = {}
 
-#: Per-cell failure records of the most recent run_sweep call: cells
-#: whose simulation raised twice (initial attempt plus the serial
-#: retry).  Each entry: ``{"index", "policy", "error"}``.
+#: Per-cell failure records of the most recent sweep or campaign: cells
+#: whose simulation raised on every attempt.  Each entry: ``{"index",
+#: "policy", "error"}``, in cell order.
 _LAST_FAILURES: List[Dict[str, object]] = []
 
-#: Pause before retrying a failed cell serially in the parent, giving
-#: transient conditions (a dying worker, memory pressure) time to clear.
+#: Base pause before retrying a failed cell serially in the parent,
+#: giving transient conditions (a dying worker, memory pressure) time to
+#: clear; :func:`_retry_backoff_s` scales and jitters it.
 RETRY_BACKOFF_S = 0.05
+
+#: Cap on serial retry attempts per cell after its first failure.
+DEFAULT_CELL_RETRIES = 1
 
 
 def last_sweep_stats() -> Dict[str, float]:
-    """``{cells, cached_cells, events, sim_wall_s, events_per_s,
-    failed_cells}`` of the latest :func:`run_sweep` call (empty before
-    the first sweep)."""
+    """``{cells, cached_cells, recovered_cells, events, sim_wall_s,
+    events_per_s, failed_cells}`` of the latest :func:`run_sweep`,
+    :func:`run_campaign` or :func:`resume_campaign` call (empty before
+    the first one)."""
     return dict(_LAST_STATS)
 
 
 def last_sweep_failures() -> List[Dict[str, object]]:
-    """Cells of the latest sweep that failed both their initial run and
-    the serial retry (empty on a fully successful sweep)."""
+    """Cells of the latest sweep or campaign that failed their initial
+    run and every serial retry, in cell order (empty on a fully
+    successful run)."""
     return [dict(f) for f in _LAST_FAILURES]
 
 
@@ -337,7 +344,7 @@ def _run_cell(args: tuple) -> SimulationResult:
     on any pool worker.  ``deadline_s`` arms the engine's wall-clock
     watchdog: a cell that hangs is killed by a diagnostic
     :class:`~repro.errors.SimulationError` instead of stalling the
-    sweep (the campaign runner retries it with backoff).
+    sweep (the executor retries it with backoff).
     """
     cell, soc, deadline_s = args
     if cell.cache_bytes is not None:
@@ -358,7 +365,7 @@ def _run_cell_shard(args: tuple) -> List[SimulationResult]:
     at a time drowns the simulation in pickling and IPC overhead.  A
     shard amortizes the round trip while every cell still simulates
     through :func:`_run_cell`, so results are byte-identical to
-    unsharded execution.
+    unsharded execution.  Per-cell dispatch is a shard of one.
     """
     shard, soc, deadline_s = args
     return [_run_cell((cell, soc, deadline_s)) for cell in shard]
@@ -378,6 +385,149 @@ def _attempt_cell(item: tuple
         return None, f"{type(exc).__name__}: {exc}"
 
 
+def _retry_backoff_s(index: int, attempt: int) -> float:
+    """Jittered, deterministic backoff before retrying one cell.
+
+    Seeded by (cell, attempt) so concurrent campaigns de-synchronize
+    their retries without making any run irreproducible.
+    """
+    rng = random.Random(f"retry:{index}:{attempt}")
+    return RETRY_BACKOFF_S * attempt * rng.uniform(0.5, 1.5)
+
+
+def _execute(
+    cells: List[SweepCell],
+    soc: SoCConfig,
+    journal: Optional["CampaignJournal"],
+    done: Dict[int, SimulationResult],
+    max_workers: Optional[int],
+    cache_path: Optional[Path],
+    deadline_s: Optional[float],
+    retries: int,
+    shard_size: int,
+) -> List[Optional[SimulationResult]]:
+    """The one cell executor behind sweeps, campaigns and fleets.
+
+    ``journal=None`` is an ephemeral sweep; with a journal every start,
+    completion and failure is recorded (see :class:`CampaignJournal`).
+    ``done`` holds results already committed by an earlier campaign run.
+    The remaining cells are served from the persistent cache where
+    possible, then dispatched serially in-process or to a process pool
+    in shards of ``shard_size`` cells.  Every attempt ends in
+    ``settle()``, which retries a failed cell serially in the parent
+    (jittered backoff, up to ``retries`` times), then journals, caches
+    and records the outcome.
+    """
+    results: List[Optional[SimulationResult]] = [
+        done.get(i) for i in range(len(cells))
+    ]
+    recovered = sum(1 for r in results if r is not None)
+
+    keys: List[Optional[str]] = [None] * len(cells)
+    if cache_path is not None:
+        for i, cell in enumerate(cells):
+            if results[i] is not None:
+                continue
+            keys[i] = cell_cache_key(cell, soc)
+            results[i] = _load_cached(cache_path / f"{keys[i]}.json")
+            if results[i] is not None and journal is not None:
+                journal.record_start(i, 0)
+                journal.record_done(i, results[i])
+
+    pending = [i for i, r in enumerate(results) if r is None]
+    _LAST_FAILURES.clear()
+
+    def start(i: int, attempt: int) -> None:
+        if journal is not None:
+            journal.record_start(i, attempt)
+
+    def settle(i: int, result, error) -> None:
+        # Commit (or retry) one cell the moment its attempt ends — a
+        # crash loses at most the cells literally in flight.
+        for attempt in range(1, retries + 1):
+            if result is not None:
+                break
+            _LOG.warning("cell %d (%s) failed: %s; retry %d/%d",
+                         i, cells[i].policy, error, attempt, retries)
+            time.sleep(_retry_backoff_s(i, attempt))
+            start(i, attempt)
+            result, error = _attempt_cell((cells[i], soc, deadline_s))
+        if result is None:
+            if journal is not None:
+                journal.record_failed(i, error)
+            _LAST_FAILURES.append({
+                "index": i,
+                "policy": cells[i].policy,
+                "error": error,
+            })
+            return
+        if journal is not None:
+            journal.record_done(i, result)
+        results[i] = result
+        if keys[i] is not None:  # best effort: the cache is optional
+            atomic_write_text(cache_path / f"{keys[i]}.json",
+                              json.dumps(simulation_result_to_dict(result)))
+
+    workers = max_workers
+    if workers is None:
+        workers = min(len(pending), os.cpu_count() or 1)
+    if workers <= 1 or len(pending) <= 1:
+        for i in pending:
+            start(i, 0)
+            settle(i, *_attempt_cell((cells[i], soc, deadline_s)))
+    else:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_warm_worker,
+            initargs=(SubspaceSolver.export_solve_memo(),),
+        ) as pool:
+            futures = {}
+            for k in range(0, len(pending), shard_size):
+                shard = pending[k:k + shard_size]
+                # The start records hit the disk before the shard is
+                # submitted: a crash during it leaves its cells visibly
+                # in flight, so resume re-runs them.
+                for i in shard:
+                    start(i, 0)
+                future = pool.submit(
+                    _run_cell_shard,
+                    ([cells[i] for i in shard], soc, deadline_s),
+                )
+                futures[future] = shard
+            for future in as_completed(futures):
+                shard = futures[future]
+                try:
+                    batch, error = future.result(), None
+                except Exception as exc:
+                    # One bad cell or a dying worker fails the whole
+                    # shard; settle() retries each cell alone, so the
+                    # culprit is isolated and its shard-mates recover.
+                    batch = [None] * len(shard)
+                    error = f"{type(exc).__name__}: {exc}"
+                for i, result in zip(shard, batch):
+                    settle(i, result, error)
+        # Completion order is nondeterministic under a pool; report
+        # failures in cell order.
+        _LAST_FAILURES.sort(key=lambda f: f["index"])
+
+    final = [r for r in results if r is not None]
+    fresh = [results[i] for i in pending if results[i] is not None]
+    fresh_wall = sum(r.wall_time_s for r in fresh)
+    fresh_events = sum(r.events_processed for r in fresh)
+    _LAST_STATS.clear()
+    _LAST_STATS.update({
+        "cells": len(final),
+        "cached_cells": len(cells) - len(pending) - recovered,
+        "recovered_cells": float(recovered),
+        "events": sum(r.events_processed for r in final),
+        "sim_wall_s": fresh_wall,
+        "events_per_s":
+            fresh_events / fresh_wall if fresh_wall > 0 else 0.0,
+        "failed_cells": float(len(_LAST_FAILURES)),
+    })
+    return results
+
+
 def run_sweep(
     cells: Sequence[SweepCell],
     soc: Optional[SoCConfig] = None,
@@ -387,6 +537,9 @@ def run_sweep(
     shard_size: Optional[int] = None,
 ) -> List[Optional[SimulationResult]]:
     """Run every cell and return results in cell order.
+
+    A sweep is a campaign without a journal: it runs through the same
+    executor as :func:`run_campaign`, with the same retry policy.
 
     Args:
         cells: the grid points to simulate.
@@ -411,130 +564,20 @@ def run_sweep(
 
     The sweep is fault tolerant: a cell whose simulation raises — or
     whose pool worker dies — does not abort the sweep.  The failure is
-    captured, the cell is retried once serially in the parent after a
-    short backoff, and a cell that fails twice is reported through
+    captured and the cell is retried serially in the parent after a
+    jittered, deterministic backoff (up to :data:`DEFAULT_CELL_RETRIES`
+    times); a cell that still fails is reported through
     :func:`last_sweep_failures` (and the ``failed_cells`` stat) with a
     ``None`` placeholder at its position in the returned list.  Fully
     successful sweeps (the normal case) contain no ``None`` entries.
     """
-    soc = soc or SoCConfig()
-    cells = list(cells)
-    results: List[Optional[SimulationResult]] = [None] * len(cells)
-
-    cache_path: Optional[Path] = None
-    keys: List[Optional[str]] = [None] * len(cells)
-    if use_cache:
-        cache_path = cache_dir or default_cache_dir()
-    if cache_path is not None:
-        for i, cell in enumerate(cells):
-            keys[i] = cell_cache_key(cell, soc)
-            results[i] = _load_cached(cache_path / f"{keys[i]}.json")
-
-    misses = [i for i, r in enumerate(results) if r is None]
-    _LAST_FAILURES.clear()
-    if misses:
-        work = [(cells[i], soc, None) for i in misses]
-        if max_workers is None:
-            max_workers = min(len(work), os.cpu_count() or 1)
-        fresh: List[Optional[SimulationResult]]
-        errors: List[Optional[str]]
-        if max_workers <= 1 or len(work) <= 1:
-            fresh, errors = [], []
-            for item in work:
-                result, error = _attempt_cell(item)
-                fresh.append(result)
-                errors.append(error)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=_warm_worker,
-                initargs=(SubspaceSolver.export_solve_memo(),),
-            ) as pool:
-                if shard_size is not None and shard_size > 1:
-                    # Batched dispatch: one future per shard.  A shard
-                    # that raises (one bad cell, a dying worker) marks
-                    # all its cells failed here; the per-cell serial
-                    # retry below then isolates the real culprit.
-                    shards = [work[k:k + shard_size]
-                              for k in range(0, len(work), shard_size)]
-                    futures = [
-                        pool.submit(
-                            _run_cell_shard,
-                            ([c for c, _, _ in shard], soc, None),
-                        )
-                        for shard in shards
-                    ]
-                    fresh, errors = [], []
-                    for shard, future in zip(shards, futures):
-                        try:
-                            batch = future.result()
-                            fresh.extend(batch)
-                            errors.extend([None] * len(batch))
-                        except Exception as exc:
-                            fresh.extend([None] * len(shard))
-                            errors.extend(
-                                [f"{type(exc).__name__}: {exc}"]
-                                * len(shard)
-                            )
-                else:
-                    # Per-cell futures (not pool.map) so one raising
-                    # cell — or a worker death breaking the pool —
-                    # surfaces as that cell's failure instead of
-                    # aborting the whole sweep.
-                    futures = [pool.submit(_run_cell, item)
-                               for item in work]
-                    fresh, errors = [], []
-                    for future in futures:
-                        try:
-                            fresh.append(future.result())
-                            errors.append(None)
-                        except Exception as exc:
-                            fresh.append(None)
-                            errors.append(f"{type(exc).__name__}: {exc}")
-        # One serial retry in the parent: transient failures (a worker
-        # OOM-killed, a flaky filesystem) recover; deterministic ones
-        # fail again and are reported instead of raised.
-        for j, i in enumerate(misses):
-            if fresh[j] is not None:
-                continue
-            _LOG.warning(
-                "sweep cell %d (%s) failed: %s; retrying serially",
-                i, cells[i].policy, errors[j],
-            )
-            time.sleep(RETRY_BACKOFF_S)
-            result, error = _attempt_cell(work[j])
-            if result is not None:
-                fresh[j] = result
-                continue
-            _LOG.warning("sweep cell %d (%s) failed twice: %s",
-                         i, cells[i].policy, error)
-            _LAST_FAILURES.append({
-                "index": i,
-                "policy": cells[i].policy,
-                "error": error,
-            })
-        for i, result in zip(misses, fresh):
-            if result is None:
-                continue
-            results[i] = result
-            if cache_path is not None:
-                _store_cached(cache_path / f"{keys[i]}.json", result)
-
-    final = [r for r in results if r is not None]
-    done = [results[i] for i in misses if results[i] is not None]
-    fresh_wall = sum(r.wall_time_s for r in done)
-    fresh_events = sum(r.events_processed for r in done)
-    _LAST_STATS.clear()
-    _LAST_STATS.update({
-        "cells": len(final),
-        "cached_cells": len(cells) - len(misses),
-        "events": sum(r.events_processed for r in final),
-        "sim_wall_s": fresh_wall,
-        "events_per_s":
-            fresh_events / fresh_wall if fresh_wall > 0 else 0.0,
-        "failed_cells": float(len(_LAST_FAILURES)),
-    })
-    return results
+    return _execute(
+        list(cells), soc or SoCConfig(), journal=None, done={},
+        max_workers=max_workers,
+        cache_path=(cache_dir or default_cache_dir()) if use_cache else None,
+        deadline_s=None, retries=DEFAULT_CELL_RETRIES,
+        shard_size=max(1, shard_size or 1),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -543,19 +586,6 @@ def run_sweep(
 
 #: Journal format version; bump on any record-shape change.
 CAMPAIGN_SCHEMA_VERSION = 1
-
-#: Cap on serial retry attempts per cell after its first failure.
-DEFAULT_CELL_RETRIES = 1
-
-
-def _retry_backoff_s(index: int, attempt: int) -> float:
-    """Jittered, deterministic backoff before retrying one cell.
-
-    Seeded by (cell, attempt) so concurrent campaigns de-synchronize
-    their retries without making any run irreproducible.
-    """
-    rng = random.Random(f"retry:{index}:{attempt}")
-    return RETRY_BACKOFF_S * attempt * rng.uniform(0.5, 1.5)
 
 
 def _cell_to_journal(cell: SweepCell) -> dict:
@@ -651,19 +681,10 @@ class CampaignJournal:
     def record_done(self, index: int, result: SimulationResult) -> None:
         # Write-ahead ordering: the result is durable on disk before the
         # journal record that marks the cell complete.
-        self.result_dir.mkdir(parents=True, exist_ok=True)
-        path = self.result_dir / f"{index}.json"
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            _write_text_durable(
-                tmp,
-                json.dumps(simulation_result_to_dict(result),
-                           sort_keys=True),
-            )
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        atomic_write_text_strict(
+            self.result_dir / f"{index}.json",
+            json.dumps(simulation_result_to_dict(result), sort_keys=True),
+        )
         self._append({"kind": "done", "index": index})
 
     def record_failed(self, index: int, error: str) -> None:
@@ -757,7 +778,9 @@ def run_campaign(
     is committed atomically as it lands, and a campaign killed at any
     instant resumes from the journal with :func:`resume_campaign`,
     skipping completed cells and re-running in-flight ones — producing a
-    result grid byte-identical to an uninterrupted campaign.
+    result grid byte-identical to an uninterrupted campaign.  Campaigns
+    dispatch per cell (a shard of one), so every cell commits the moment
+    it finishes.
 
     Args:
         cells: the grid points to simulate.
@@ -775,8 +798,11 @@ def run_campaign(
     soc = soc or SoCConfig()
     cells = list(cells)
     journal = CampaignJournal.create(journal_path, cells, soc)
-    return _drive_campaign(journal, cells, soc, {}, max_workers,
-                           use_cache, deadline_s, retries)
+    return _execute(
+        cells, soc, journal, done={}, max_workers=max_workers,
+        cache_path=default_cache_dir() if use_cache else None,
+        deadline_s=deadline_s, retries=retries, shard_size=1,
+    )
 
 
 def resume_campaign(
@@ -798,117 +824,8 @@ def resume_campaign(
     """
     journal = CampaignJournal(journal_path)
     cells, soc, done, _failed, _started = journal.read()
-    return _drive_campaign(journal, cells, soc, done, max_workers,
-                           use_cache, deadline_s, retries)
-
-
-def _drive_campaign(
-    journal: CampaignJournal,
-    cells: List[SweepCell],
-    soc: SoCConfig,
-    done: Dict[int, SimulationResult],
-    max_workers: Optional[int],
-    use_cache: bool,
-    deadline_s: Optional[float],
-    retries: int,
-) -> List[Optional[SimulationResult]]:
-    results: List[Optional[SimulationResult]] = [
-        done.get(i) for i in range(len(cells))
-    ]
-    recovered = sum(1 for r in results if r is not None)
-
-    cache_path = default_cache_dir() if use_cache else None
-    keys: List[Optional[str]] = [None] * len(cells)
-    if cache_path is not None:
-        for i, cell in enumerate(cells):
-            if results[i] is not None:
-                continue
-            keys[i] = cell_cache_key(cell, soc)
-            cached = _load_cached(cache_path / f"{keys[i]}.json")
-            if cached is not None:
-                journal.record_start(i, 0)
-                journal.record_done(i, cached)
-                results[i] = cached
-
-    pending = [i for i, r in enumerate(results) if r is None]
-    _LAST_FAILURES.clear()
-    if pending:
-        work = {i: (cells[i], soc, deadline_s) for i in pending}
-
-        def settle(i: int, result, error) -> None:
-            # Commit (or retry) one cell the moment its attempt ends —
-            # a crash loses at most the cells literally in flight.
-            for attempt in range(1, retries + 1):
-                if result is not None:
-                    break
-                _LOG.warning(
-                    "campaign cell %d (%s) failed: %s; retry %d/%d",
-                    i, cells[i].policy, error, attempt, retries,
-                )
-                time.sleep(_retry_backoff_s(i, attempt))
-                journal.record_start(i, attempt)
-                result, error = _attempt_cell(work[i])
-            if result is not None:
-                journal.record_done(i, result)
-                results[i] = result
-                if cache_path is not None and keys[i] is not None:
-                    _store_cached(cache_path / f"{keys[i]}.json",
-                                  result)
-            else:
-                journal.record_failed(i, error)
-                _LAST_FAILURES.append({
-                    "index": i,
-                    "policy": cells[i].policy,
-                    "error": error,
-                })
-
-        workers = max_workers
-        if workers is None:
-            workers = min(len(pending), os.cpu_count() or 1)
-        if workers <= 1 or len(pending) <= 1:
-            for i in pending:
-                journal.record_start(i, 0)
-                result, error = _attempt_cell(work[i])
-                settle(i, result, error)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_warm_worker,
-                initargs=(SubspaceSolver.export_solve_memo(),),
-            ) as pool:
-                futures = {}
-                for i in pending:
-                    # The start record hits the disk before the attempt
-                    # is submitted: a crash during the cell leaves it
-                    # visibly in flight, so resume re-runs it.
-                    journal.record_start(i, 0)
-                    futures[pool.submit(_run_cell, work[i])] = i
-                for future in as_completed(futures):
-                    i = futures[future]
-                    try:
-                        result, error = future.result(), None
-                    except Exception as exc:
-                        result, error = (
-                            None, f"{type(exc).__name__}: {exc}"
-                        )
-                    settle(i, result, error)
-        # Completion order is nondeterministic under a pool; report
-        # failures in cell order.
-        _LAST_FAILURES.sort(key=lambda f: f["index"])
-
-    final = [r for r in results if r is not None]
-    fresh = [results[i] for i in pending if results[i] is not None]
-    fresh_wall = sum(r.wall_time_s for r in fresh)
-    fresh_events = sum(r.events_processed for r in fresh)
-    _LAST_STATS.clear()
-    _LAST_STATS.update({
-        "cells": len(final),
-        "cached_cells": len(cells) - len(pending) - recovered,
-        "recovered_cells": float(recovered),
-        "events": sum(r.events_processed for r in final),
-        "sim_wall_s": fresh_wall,
-        "events_per_s":
-            fresh_events / fresh_wall if fresh_wall > 0 else 0.0,
-        "failed_cells": float(len(_LAST_FAILURES)),
-    })
-    return results
+    return _execute(
+        cells, soc, journal, done=done, max_workers=max_workers,
+        cache_path=default_cache_dir() if use_cache else None,
+        deadline_s=deadline_s, retries=retries, shard_size=1,
+    )

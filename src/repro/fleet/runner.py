@@ -1,17 +1,19 @@
 """Fleet execution: expand, simulate, aggregate — resumable end to end.
 
 :func:`run_fleet` expands a :class:`~repro.fleet.spec.FleetSpec` into
-campaign cells and runs them through the existing sweep machinery:
+campaign cells and runs them through the sweep module's one cell
+executor (one retry policy, one failure report):
 
 * **Ephemeral fleets** (``journal_path=None``) go through
   :func:`~repro.experiments.sweep.run_sweep` with shard batching, so
   thousands of tiny device cells amortize worker dispatch.
 * **Journaled fleets** go through the crash-safe campaign runner
-  (:func:`~repro.experiments.sweep.run_campaign`); a ``.fleet.json``
-  sidecar written next to the journal records the spec (plus its
-  content hash), so :func:`resume_fleet` — or ``--resume`` on the CLI —
-  picks a SIGKILLed fleet back up and produces the byte-identical
-  population summary.
+  (:func:`~repro.experiments.sweep.run_campaign`), which dispatches per
+  cell (a shard of one) so each device commits as it finishes.  A
+  ``.fleet.json`` sidecar, written strictly before the journal is
+  created, records the spec (plus its content hash), so
+  :func:`resume_fleet` — or ``--resume`` on the CLI — picks a SIGKILLed
+  fleet back up and produces the byte-identical population summary.
 
 Aggregation always folds per-device summaries in canonical cell order
 (the order :meth:`FleetSpec.expand` emits), which is what makes fleet
@@ -27,7 +29,7 @@ from typing import List, Optional
 
 from ..config import SoCConfig
 from ..core.serialize import (
-    atomic_write_text,
+    atomic_write_text_strict,
     fleet_spec_to_dict,
     fleet_spec_from_dict,
     fleet_spec_content_hash,
@@ -54,13 +56,18 @@ def fleet_sidecar_path(journal_path) -> Path:
 
 
 def write_fleet_sidecar(journal_path, spec: FleetSpec) -> Path:
-    """Durably record the fleet spec next to its journal (atomic)."""
+    """Durably record the fleet spec next to its journal (atomic).
+
+    The write is strict: :func:`resume_fleet` cannot work without the
+    sidecar, so a failed write raises (before :func:`run_fleet` creates
+    the journal or runs any cell) instead of being ignored.
+    """
     sidecar = fleet_sidecar_path(journal_path)
     payload = {
         "fleet": fleet_spec_to_dict(spec),
         "content_hash": fleet_spec_content_hash(spec),
     }
-    atomic_write_text(sidecar, json.dumps(payload, sort_keys=True))
+    atomic_write_text_strict(sidecar, json.dumps(payload, sort_keys=True))
     return sidecar
 
 

@@ -1,6 +1,7 @@
-"""Tests for mapping-file JSON serialization."""
+"""Tests for mapping-file JSON serialization and the atomic writers."""
 
 import json
+import os
 
 import pytest
 
@@ -8,6 +9,8 @@ from repro.config import SoCConfig
 from repro.core.mapper.layer_mapper import LayerMapper
 from repro.core.serialize import (
     SCHEMA_VERSION,
+    atomic_write_text,
+    atomic_write_text_strict,
     load_mapping_file,
     mapping_file_from_dict,
     mapping_file_to_dict,
@@ -139,3 +142,42 @@ class TestStableContentHash:
 
         assert stable_content_hash({"a": 1.0}) != \
             stable_content_hash({"a": 1.0000000000000002})
+
+
+class TestAtomicWriteFailure:
+    """A write that fails before publishing leaves the old file intact
+    and no temp file behind, whether the writer raises or not."""
+
+    @pytest.fixture
+    def failing_replace(self, monkeypatch):
+        def boom(src, dst):
+            raise OSError("injected rename failure")
+
+        monkeypatch.setattr(os, "replace", boom)
+
+    def test_strict_writer_raises_and_cleans_up(self, tmp_path,
+                                                 failing_replace):
+        target = tmp_path / "entry.json"
+        target.write_text('{"old": true}')
+        with pytest.raises(OSError, match="injected"):
+            atomic_write_text_strict(target, '{"new": true}')
+        assert target.read_text() == '{"old": true}'
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_best_effort_writer_swallows_and_cleans_up(self, tmp_path,
+                                                       failing_replace):
+        target = tmp_path / "entry.json"
+        atomic_write_text(target, '{"new": true}')
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mapping_file_write_failure_propagates(
+        self, mapping_file, tmp_path, failing_replace
+    ):
+        with pytest.raises(OSError, match="injected"):
+            save_mapping_file(mapping_file, tmp_path / "mb.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_strict_writer_creates_parents(self, tmp_path):
+        target = tmp_path / "a" / "b" / "entry.json"
+        assert atomic_write_text_strict(target, "x") == target
+        assert target.read_text() == "x"

@@ -7,6 +7,7 @@ from repro.experiments.ablation import (
     format_ablation,
     multicast_traffic_savings,
     run_lbm_budget_ablation,
+    run_usage_level_ablation,
     run_way_partition_ablation,
 )
 
@@ -22,6 +23,10 @@ class TestMulticastSavings:
         for row in multicast_traffic_savings(num_cores=2).values():
             assert row["saved_fraction"] > 0
             assert row["multicast_mb"] < row["replicated_mb"]
+
+    def test_two_core_savings_above_fifteen_percent(self):
+        for row in multicast_traffic_savings(num_cores=2).values():
+            assert row["saved_fraction"] > 0.15
 
     def test_more_cores_bigger_savings(self):
         two = multicast_traffic_savings(num_cores=2)
@@ -44,6 +49,25 @@ class TestSweeps:
         rows = run_lbm_budget_ablation(fractions=(0.05, 0.5), scale=0.1)
         assert all(r.lbm_layers > 0 for r in rows)
         assert rows[0].lbm_layers != rows[1].lbm_layers
+
+    def test_more_npu_ways_more_lbm_coverage(self):
+        """More NPU ways -> more pages -> at least as much LBM
+        coverage."""
+        rows = run_way_partition_ablation(npu_way_options=(4, 12, 16),
+                                          scale=0.2)
+        by_ways = {r.value: r for r in rows}
+        assert by_ways["16/16"].lbm_layers >= by_ways["4/16"].lbm_layers
+
+    def test_usage_level_rows(self):
+        rows = run_usage_level_ablation(granularities=(1, 4), scale=0.2)
+        assert len(rows) == 2
+        assert all(r.avg_latency_ms > 0 for r in rows)
+
+    def test_lbm_budget_responds_at_quarter_budget(self):
+        rows = run_lbm_budget_ablation(fractions=(0.05, 0.25), scale=0.2)
+        small, big = rows
+        assert small.lbm_layers > 0 and big.lbm_layers > 0
+        assert small.lbm_layers != big.lbm_layers
 
     def test_format(self):
         rows = [

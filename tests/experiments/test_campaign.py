@@ -251,6 +251,38 @@ class TestCampaignRun:
         assert sorted(done) == [0]
 
 
+class TestSweepCampaignAgreement:
+    """A sweep is a campaign without a journal: one executor, one retry
+    policy, one failure report and one stats shape."""
+
+    def test_same_results_failures_stats_and_backoff(self, tmp_path,
+                                                     monkeypatch):
+        cells = _cells(("baseline", "no-such-policy", "moca"))
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+
+        swept = run_sweep(cells, max_workers=1, use_cache=False)
+        sweep_failures = last_sweep_failures()
+        sweep_stats = last_sweep_stats()
+        sweep_sleeps = list(sleeps)
+        sleeps.clear()
+
+        journaled = run_campaign(cells, tmp_path / "j", max_workers=1,
+                                 use_cache=False, retries=1)
+        assert _grid(journaled) == _grid(swept)
+        assert swept[1] is None
+        assert last_sweep_failures() == sweep_failures
+        (failure,) = sweep_failures
+        assert failure["index"] == 1
+        assert set(last_sweep_stats()) == set(sweep_stats)
+        assert sweep_stats["recovered_cells"] == 0.0
+        assert sweep_stats["failed_cells"] == 1.0
+        # The sweep retries with the campaign's jittered, deterministic
+        # backoff, once (DEFAULT_CELL_RETRIES).
+        assert sweep_sleeps == [sweep._retry_backoff_s(1, 1)]
+        assert sleeps == sweep_sleeps
+
+
 class TestAtomicWriterKill:
     """A writer SIGKILLed mid-write never publishes a partial entry."""
 

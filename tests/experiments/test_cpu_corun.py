@@ -88,3 +88,15 @@ class TestStudy:
         friendly = "kernel-build"
         assert many_npu.cpu_hit_rates[friendly] <= \
             few_npu.cpu_hit_rates[friendly] + 0.05
+
+    def test_more_npu_ways_do_not_slow_dnns(self):
+        rows = run_cpu_corun_study(
+            npu_way_options=(8, 12, 14),
+            accesses_per_program=10_000,
+            scale=0.15,
+        )
+        latencies = [r.dnn_latency_ms for r in rows]
+        assert latencies[0] >= latencies[-1] - 0.5
+        # Every row reports all CPU programs.
+        for row in rows:
+            assert len(row.cpu_hit_rates) == 3

@@ -58,6 +58,30 @@ class TestFig2:
         assert "avg_latency_ms" in text
 
 
+class TestFig2PaperGrid:
+    """Figure 2's shape on the wider 1/8/16-tenant x 4/16/64 MB grid:
+    contention hurts every cache size, on all three panels."""
+
+    DNN_COUNTS = (1, 8, 16)
+    CACHE_SIZES = (4, 16, 64)
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return run_fig2(dnn_counts=self.DNN_COUNTS,
+                        cache_sizes_mb=self.CACHE_SIZES, scale=0.15)
+
+    def test_crowded_worse_than_solo_on_every_panel(self, rows):
+        for cache_mb in self.CACHE_SIZES:
+            solo = next(r for r in rows
+                        if r.cache_mb == cache_mb and r.num_dnns == 1)
+            crowded = next(r for r in rows
+                           if r.cache_mb == cache_mb
+                           and r.num_dnns == self.DNN_COUNTS[-1])
+            assert crowded.hit_rate < solo.hit_rate
+            assert crowded.dram_mb_per_model > solo.dram_mb_per_model
+            assert crowded.avg_latency_ms > solo.avg_latency_ms
+
+
 class TestFig3:
     @pytest.fixture(scope="class")
     def rows(self):
@@ -82,6 +106,14 @@ class TestFig3:
         avg = rows[-1]
         above_1mb = 1.0 - avg.distance_fractions["(0MB,1MB]"]
         assert above_1mb >= 0.35  # paper: 61.8 %
+
+    def test_average_above_2mb_in_paper_regime(self, rows):
+        avg = rows[-1]
+        above_2mb = (
+            avg.distance_fractions["(2MB,4MB]"]
+            + avg.distance_fractions["(4MB,inf)"]
+        )
+        assert above_2mb >= 0.25  # paper: 47.9 %
 
     def test_format(self, rows):
         text = format_fig3(rows)

@@ -63,6 +63,19 @@ class TestFig9:
         assert "paper 5.9x" in text
 
 
+class TestFig9SixteenStreams:
+    """Figure 9 with 16 streams (two of each model) at scale 0.25:
+    CaMDN at least matches the best baseline (paper: SLA 5.9x, STP
+    2.5x, fairness 3.0x on average)."""
+
+    def test_improvement_over_best_baseline(self):
+        rows = run_fig9(scale=0.25, model_keys=BENCHMARK_MODELS * 2)
+        summary = improvement_summary(rows)
+        assert summary["sla"] >= 0.95
+        assert summary["stp"] >= 0.95
+        assert summary["fairness"] >= 0.8
+
+
 class TestTable3:
     def test_breakdown_close_to_paper(self):
         table = run_table3()

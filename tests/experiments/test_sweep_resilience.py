@@ -111,6 +111,29 @@ class TestSweepFaultTolerance:
         assert last_sweep_failures() == []
         assert last_sweep_stats()["failed_cells"] == 0.0
 
+    def test_bad_cell_does_not_take_down_its_shard_mates(self):
+        """A raising cell fails its whole shard in the worker; the
+        per-cell retries in the parent isolate it, so its shard-mate
+        completes and the grid equals a serial run."""
+        cells = [_cell(), _cell("moca"), _cell("no-such-policy"),
+                 _cell("camdn-full")]
+        serial = run_sweep(cells, max_workers=1, use_cache=False)
+        serial_failures = last_sweep_failures()
+        sharded = run_sweep(cells, max_workers=2, use_cache=False,
+                            shard_size=2)
+        assert sharded[2] is None
+        assert sharded[3] is not None  # the bad cell's shard-mate
+        (failure,) = last_sweep_failures()
+        assert failure["index"] == 2
+        assert failure["policy"] == "no-such-policy"
+        assert last_sweep_failures() == serial_failures
+
+        def grid(results):
+            return [json.dumps(r.metric_summary(), sort_keys=True)
+                    if r is not None else None for r in results]
+
+        assert grid(sharded) == grid(serial)
+
     def test_successful_sweep_has_no_none_entries(self):
         results = run_sweep([_cell(), _cell("moca")], max_workers=1,
                             use_cache=False)

@@ -21,6 +21,7 @@ import pytest
 
 from repro.config import SoCConfig
 from repro.errors import WorkloadError
+from repro.experiments import sweep
 from repro.experiments.sweep import CampaignJournal
 from repro.fleet import FleetSpec, ScenarioDraw
 from repro.fleet.runner import (
@@ -75,6 +76,28 @@ class TestSidecar:
         fleet_sidecar_path(journal).write_text("not json")
         with pytest.raises(WorkloadError, match="sidecar"):
             read_fleet_sidecar(journal)
+
+    def test_failed_sidecar_write_aborts_fleet_before_any_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """The sidecar is what makes a journaled fleet resumable, so a
+        write that fails must raise before the journal exists or any
+        cell runs (a best-effort write would run an unresumable
+        fleet)."""
+        journal = tmp_path / "f.journal"
+        # A directory where the sidecar file belongs: the publishing
+        # rename fails with an OSError.
+        fleet_sidecar_path(journal).mkdir()
+        ran = []
+        monkeypatch.setattr(sweep, "_run_cell",
+                            lambda item: ran.append(item))
+        with pytest.raises(OSError):
+            run_fleet(tiny_fleet(), journal_path=journal, max_workers=1,
+                      use_cache=False)
+        assert not journal.exists()
+        assert ran == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            [fleet_sidecar_path(journal).name]
 
 
 class TestResume:
